@@ -1,9 +1,9 @@
 //! The CI bench-regression harness: `report check --against
 //! ci/bench_baselines.json`.
 //!
-//! The per-experiment gates (e11/e12/e13) compare against *constants*
-//! baked into the harness — a 30% throughput regression that stays
-//! above a 2× gate ships silently, because CI has no memory. This
+//! The per-experiment gates compare against *constants* baked into the
+//! harness — a 30% throughput regression that stays above a 2× gate
+//! ships silently, because CI has no memory. This
 //! module gives it one: a checked-in baseline file records the
 //! expected value of selected telemetry metrics with a per-metric
 //! tolerance band, `report check` compares the freshly written
@@ -41,6 +41,7 @@
 //! smoke baseline) skip the file rather than comparing apples to
 //! oranges.
 
+use crate::experiment::same;
 use crate::json::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -120,11 +121,9 @@ fn req_f64(j: &Json, key: &str, ctx: &str) -> Result<f64, String> {
 
 /// Does a telemetry row match every `select` key?
 fn row_matches(row: &Json, select: &BTreeMap<String, Json>) -> bool {
-    select.iter().all(|(k, want)| match (row.get(k), want) {
-        (Some(Json::Str(have)), Json::Str(w)) => have == w,
-        (Some(Json::Num(have)), Json::Num(w)) => (have - w).abs() < 1e-9,
-        _ => false,
-    })
+    select
+        .iter()
+        .all(|(k, want)| row.get(k).is_some_and(|have| same(have, want)))
 }
 
 /// Run the check. `load` maps a telemetry file name to its contents
@@ -192,10 +191,19 @@ pub fn check(
                 [] => return Err(format!("{ctx}: select matches no telemetry row")),
                 many => return Err(format!("{ctx}: select is ambiguous ({} rows)", many.len())),
             };
-            let measured = req_f64(row, metric, &ctx)?;
-            measured_by_pos.insert((file.clone(), mi), measured);
+            // A `null` metric is a measurement that came out non-finite
+            // (an infinite rate over a zero elapsed time, a NaN ratio):
+            // a broken run, not a broken baseline file.
+            let measured = match row.get(metric) {
+                Some(Json::Null) => f64::NAN,
+                _ => req_f64(row, metric, &ctx)?,
+            };
+            if measured.is_finite() {
+                measured_by_pos.insert((file.clone(), mi), measured);
+            }
             let band = baseline.abs() * tolerance_pct / 100.0;
             let verdict = match direction {
+                _ if measured.is_nan() => Verdict::Regressed,
                 Direction::Higher => {
                     if measured < baseline - band {
                         Verdict::Regressed
@@ -365,6 +373,20 @@ mod tests {
             Json::parse(&r.refreshed).is_ok(),
             "refreshed block is valid JSON"
         );
+    }
+
+    #[test]
+    fn non_finite_measurement_regresses() {
+        // The telemetry writer spells an infinite or NaN value `null`.
+        let text = telemetry(1000.0, 50.0, 0.0).replace("\"tput\": 1000", "\"tput\": null");
+        let r =
+            check(BASELINES, |_| Ok(text.clone())).expect("a null metric is no misconfiguration");
+        assert_eq!(r.regressions(), 1);
+        assert_eq!(r.outcomes[0].verdict, Verdict::Regressed);
+        assert!(r.outcomes[0].measured.is_nan());
+        // The refreshed block keeps the old baseline and stays valid JSON.
+        assert!(r.refreshed.contains("\"baseline\": 1000.000"));
+        assert!(Json::parse(&r.refreshed).is_ok());
     }
 
     #[test]

@@ -1,26 +1,20 @@
-//! Experiment report: prints the measured rows for every experiment
-//! E1–E12 (one section per figure/claim of the paper). This complements
-//! the Criterion benches with counter-based measurements — lock counts,
-//! message counts, log bytes, reset sizes — that wall-clock timing alone
-//! cannot show.
+//! Experiment report: runs entries of the experiment registry
+//! (`unbundled_bench::experiment::EXPERIMENTS` — E1–E17 and the
+//! commit-path breakdown `obs`), prints each one's table and gates,
+//! and optionally writes each one's `BENCH_<name>.json` telemetry.
 //!
 //! ```sh
-//! cargo run -p unbundled_bench --bin report --release
+//! cargo run --release -p unbundled_bench --bin report                  # every experiment
+//! cargo run --release -p unbundled_bench --bin report -- e9            # one experiment
+//! cargo run --release -p unbundled_bench --bin report -- e11 --smoke --json BENCH_e11.json
+//! cargo run --release -p unbundled_bench --bin report -- all --smoke --json-dir .
 //! ```
 //!
-//! The commit-path (E11), replication (E12) and open-loop (E13)
-//! experiments can run alone and serialize their rows and regression
-//! gates as machine-readable telemetry — CI uploads these on every run
-//! so the perf trajectory is recorded, not discarded:
-//!
-//! ```sh
-//! cargo run -p unbundled_bench --bin report --release -- e11 --json BENCH_e11.json
-//! cargo run -p unbundled_bench --bin report --release -- e12 --json BENCH_e12.json
-//! cargo run -p unbundled_bench --bin report --release -- e13 --json BENCH_e13.json
-//! ```
-//!
-//! `E11_SMOKE=1` / `E12_SMOKE=1` / `E13_SMOKE=1` shrink the workloads
-//! exactly like the bench gates.
+//! `--smoke` shrinks the slower experiments' workloads for CI; their
+//! gates are the same in both modes. Telemetry is written before the
+//! gates are judged, so a failing run still leaves its numbers behind.
+//! `all` runs each experiment in a fresh child process and fails (exit
+//! 1) at the end, listing every gate that failed in every experiment.
 //!
 //! After the telemetry files are written, the bench-regression harness
 //! compares them against the checked-in baselines (per-metric
@@ -28,142 +22,153 @@
 //! copy-pasteable refreshed baseline block):
 //!
 //! ```sh
-//! cargo run -p unbundled_bench --bin report --release -- check --against ci/bench_baselines.json
+//! cargo run --release -p unbundled_bench --bin report -- check --against ci/bench_baselines.json [--dir DIR]
 //! ```
 
-use std::sync::Arc;
-use std::time::Instant;
-use unbundled_bench::*;
-use unbundled_core::{DcId, Key, ReadFlavor, TcId};
-use unbundled_dc::{DcConfig, ResetMode, SyncPolicy};
-use unbundled_kernel::harness::{ops_per_sec, run_concurrent};
-use unbundled_kernel::scenarios::MovieSite;
-use unbundled_kernel::{FaultModel, TransportKind};
-use unbundled_tc::{RangePartitioner, ScanProtocol, TcConfig};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use unbundled_bench::baseline::{Direction, Verdict};
+use unbundled_bench::experiment::{lookup, Experiment, EXPERIMENTS};
+
+const USAGE: &str = "usage: report [<name>|all] [--smoke] [--json PATH | --json-dir DIR]\n       \
+                     report check --against BASELINES [--dir DIR]";
+
+fn main() {
+    let mut target: Option<String> = None;
+    let mut smoke = false;
+    let mut json: Option<PathBuf> = None;
+    let mut json_dir: Option<PathBuf> = None;
+    let mut against: Option<String> = None;
+    let mut dir: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .unwrap_or_else(|| usage(&format!("{arg} needs a value")))
+        };
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--json" => json = Some(value().into()),
+            "--json-dir" => json_dir = Some(value().into()),
+            "--against" => against = Some(value()),
+            "--dir" => dir = Some(value()),
+            flag if flag.starts_with("--") => usage(&format!("unknown option {flag}")),
+            _ if target.is_some() => usage(&format!("unexpected argument {arg}")),
+            _ => target = Some(arg),
+        }
+    }
+    let target = target.unwrap_or_else(|| "all".to_string());
+    if target == "check" {
+        let baselines = against.unwrap_or_else(|| usage("check needs --against <baselines.json>"));
+        check(&baselines, dir.as_deref().unwrap_or("."));
+        return;
+    }
+    let failures = match target.as_str() {
+        "all" if json.is_some() => usage("--json names one file; use --json-dir with all"),
+        "all" => EXPERIMENTS
+            .iter()
+            .flat_map(|exp| run_isolated(exp, smoke, json_dir.as_deref()))
+            .collect(),
+        name => {
+            let exp = lookup(name).unwrap_or_else(|| usage(&format!("no experiment {name:?}")));
+            let path = json.or_else(|| json_dir.map(|d| d.join(exp.json_file())));
+            let failures = run(exp, smoke, path);
+            for f in &failures {
+                eprintln!("{FAILED}{f}");
+            }
+            failures
+        }
+    };
+    if !failures.is_empty() {
+        eprintln!("\n{} gate(s) failed:", failures.len());
+        for f in &failures {
+            eprintln!("  {f}");
+        }
+        std::process::exit(1);
+    }
+    println!("\nreport complete.");
+}
+
+/// Prefix of the stderr line a single-experiment run prints per failed
+/// gate, which `report all` collects from its children.
+const FAILED: &str = "gate failed: ";
+
+/// Run one experiment in this process: print its table, write its
+/// telemetry to `json` (before judging the gates, so a failing run
+/// still leaves its numbers behind), and return its gate failures.
+fn run(exp: &Experiment, smoke: bool, json: Option<PathBuf>) -> Vec<String> {
+    header(exp.title);
+    let report = (exp.run)(smoke);
+    report.print();
+    if let Some(path) = json {
+        let mode = if smoke { "smoke" } else { "full" };
+        std::fs::write(&path, report.to_json(exp.name, mode))
+            .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        println!("{} telemetry written to {}", exp.name, path.display());
+    }
+    let mut failures: Vec<String> = report
+        .duplicate_gates()
+        .iter()
+        .map(|name| format!("{}: gate name {name:?} is not unique", exp.name))
+        .collect();
+    failures.extend(report.failed_gates().map(|g| {
+        format!(
+            "{}: {} — measured {:.3}, need {} {:.3}",
+            exp.name,
+            g.name,
+            g.value,
+            g.op(),
+            g.threshold
+        )
+    }));
+    failures
+}
+
+/// Run one experiment of `report all` in a child process of this binary,
+/// so every experiment starts from a fresh process — as when run alone —
+/// whatever the ones before it left behind (threads, memory, a panic).
+/// Returns the child's gate failures, or its exit status when it failed
+/// without reporting any.
+fn run_isolated(exp: &Experiment, smoke: bool, json_dir: Option<&Path>) -> Vec<String> {
+    let mut child = Command::new(std::env::current_exe().expect("path of this binary"));
+    child.arg(exp.name);
+    if smoke {
+        child.arg("--smoke");
+    }
+    if let Some(dir) = json_dir {
+        child.arg("--json-dir").arg(dir);
+    }
+    let out = child
+        .stdout(Stdio::inherit())
+        .stderr(Stdio::piped())
+        .output()
+        .unwrap_or_else(|e| panic!("starting {}: {e}", exp.name));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    eprint!("{stderr}");
+    let mut failures: Vec<String> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix(FAILED))
+        .map(str::to_string)
+        .collect();
+    if failures.is_empty() && !out.status.success() {
+        failures.push(format!(
+            "{}: {} (see its output above)",
+            exp.name, out.status
+        ));
+    }
+    failures
+}
+
+fn usage(why: &str) -> ! {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    eprintln!("{why}\n{USAGE}\nexperiments: {}", names.join(" "));
+    std::process::exit(2)
+}
 
 fn header(s: &str) {
     println!("\n==================================================================");
     println!("{s}");
     println!("==================================================================");
-}
-
-fn main() {
-    // `report [e11|e12|e13] [--json PATH]` — an optional section
-    // filter and an optional path for that section's JSON telemetry —
-    // or `report check --against BASELINES [--dir DIR]` to run the
-    // bench-regression harness over previously written telemetry.
-    let mut only: Option<String> = None;
-    let mut json: Option<String> = None;
-    let mut against: Option<String> = None;
-    let mut dir: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = Some(args.next().expect("--json needs a path")),
-            "--against" => against = Some(args.next().expect("--against needs a path")),
-            "--dir" => dir = Some(args.next().expect("--dir needs a path")),
-            _ => only = Some(arg),
-        }
-    }
-    match only.as_deref() {
-        Some("e11") => e11(json.as_deref()),
-        Some("e12") => e12(json.as_deref()),
-        Some("e13") => e13(json.as_deref()),
-        Some("e14") => e14(json.as_deref()),
-        Some("e15") => e15(json.as_deref()),
-        Some("e16") => e16(json.as_deref()),
-        Some("e17") => e17(json.as_deref()),
-        Some("obs") => obs(json.as_deref()),
-        Some("check") => {
-            let baselines = against.expect("check needs --against <baselines.json>");
-            check(&baselines, dir.as_deref().unwrap_or("."));
-        }
-        Some(other) => {
-            panic!(
-                "unknown section {other:?} (only \"e11\" / \"e12\" / \"e13\" / \"e14\" / \"e15\" / \"e16\" / \"e17\" / \"obs\" / \"check\" can run alone)"
-            )
-        }
-        None => {
-            // With no section filter, one --json path serves three
-            // experiments: derive a per-experiment file name so the
-            // later writes cannot silently overwrite the earlier ones.
-            let per_exp = |exp: &str| {
-                json.as_deref()
-                    .map(|path| match path.strip_suffix(".json") {
-                        Some(stem) => format!("{stem}.{exp}.json"),
-                        None => format!("{path}.{exp}.json"),
-                    })
-            };
-            e1();
-            e2();
-            e3();
-            e4();
-            e5();
-            e6();
-            e7();
-            e8();
-            e9();
-            e10();
-            e11(per_exp("e11").as_deref());
-            e12(per_exp("e12").as_deref());
-            e13(per_exp("e13").as_deref());
-            e14(per_exp("e14").as_deref());
-            e15(per_exp("e15").as_deref());
-            e16(per_exp("e16").as_deref());
-            e17(per_exp("e17").as_deref());
-            obs(per_exp("obs").as_deref());
-        }
-    }
-    println!("\nreport complete.");
-}
-
-/// E16 — MVCC on the TC/DC split: snapshot reads vs locking reads
-/// under a contending writer, pinned-snapshot isolation through the
-/// write storm, and version-chain GC across truncating checkpoints.
-/// Telemetry is written before the gates are asserted, like e11–e15.
-fn e16(json: Option<&str>) {
-    header("E16: MVCC reads — snapshot vs locking under contention, version-chain GC");
-    let smoke = std::env::var("E16_SMOKE").is_ok();
-    let report = unbundled_bench::e16::run_e16(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e16 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-/// E17 — the shard autopilot: the telemetry-driven split/merge policy
-/// against a ramp that saturates a single shard, over a skewed key
-/// distribution a midpoint cut could not fix. Telemetry is written
-/// before the gates are asserted, like e11–e16.
-fn e17(json: Option<&str>) {
-    header("E17: shard autopilot — policy-driven split under a skewed ramp");
-    let smoke = std::env::var("E17_SMOKE").is_ok();
-    let report = unbundled_bench::e17::run_e17(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e17 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-/// OBS — the commit-path observability breakdown: per-stage latency
-/// histograms (lock wait, gather wait, force, DC apply, 2PC residual)
-/// out of `Deployment::observe()`, the 20% stage-decomposition gate,
-/// and one traced cross-TC commit rendered as a span tree. Telemetry
-/// is written before the gates are asserted, like e11–e16.
-fn obs(json: Option<&str>) {
-    header("OBS: commit-path breakdown — per-stage histograms and span tree");
-    let smoke = std::env::var("OBS_SMOKE").is_ok() || std::env::var("E11_SMOKE").is_ok();
-    let report = unbundled_bench::obs::run_obs(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("obs telemetry written to {path}");
-    }
-    report.assert_gates();
 }
 
 /// The bench-regression harness: compare freshly written telemetry
@@ -179,15 +184,15 @@ fn check(baselines_path: &str, dir: &str) {
     .unwrap_or_else(|e| panic!("bench baseline check is misconfigured: {e}"));
     for o in &report.outcomes {
         let dir_mark = match o.direction {
-            unbundled_bench::baseline::Direction::Higher => "↑",
-            unbundled_bench::baseline::Direction::Lower => "↓",
+            Direction::Higher => "↑",
+            Direction::Lower => "↓",
         };
         println!(
             "{:<11} {:<14} {:<58} baseline {:>12.3} {} measured {:>12.3} (±{}%)",
             match o.verdict {
-                unbundled_bench::baseline::Verdict::Ok => "ok",
-                unbundled_bench::baseline::Verdict::Improved => "improved",
-                unbundled_bench::baseline::Verdict::Regressed => "REGRESSION",
+                Verdict::Ok => "ok",
+                Verdict::Improved => "improved",
+                Verdict::Regressed => "REGRESSION",
             },
             o.file
                 .trim_start_matches("BENCH_")
@@ -205,7 +210,7 @@ fn check(baselines_path: &str, dir: &str) {
     let improved = report
         .outcomes
         .iter()
-        .filter(|o| o.verdict == unbundled_bench::baseline::Verdict::Improved)
+        .filter(|o| o.verdict == Verdict::Improved)
         .count();
     if improved > 0 && report.regressions() == 0 {
         println!(
@@ -226,627 +231,4 @@ fn check(baselines_path: &str, dir: &str) {
         "\nbench baselines hold ({} metrics).",
         report.outcomes.len()
     );
-}
-
-/// E1 — Figure 1: architecture composition / per-op layer cost.
-fn e1() {
-    header("E1 (Figure 1): unbundled architecture — per-transaction cost by deployment");
-    println!(
-        "{:<36} {:>14} {:>12}",
-        "deployment", "txns/s", "vs monolith"
-    );
-    let n = 3000u64;
-
-    let m = monolith();
-    let t0 = Instant::now();
-    load_monolith(&m, 0, n, 32);
-    let mono = ops_per_sec(n, t0.elapsed());
-    println!("{:<36} {:>14.0} {:>11.2}x", "monolith (bundled)", mono, 1.0);
-
-    let d = unbundled_single(
-        TransportKind::Inline,
-        TcConfig::default(),
-        DcConfig::default(),
-    );
-    let tc = d.tc(TcId(1));
-    let t0 = Instant::now();
-    load_tc(&tc, 0, n, 32);
-    let inline = ops_per_sec(n, t0.elapsed());
-    println!(
-        "{:<36} {:>14.0} {:>11.2}x",
-        "unbundled, inline (multi-core)",
-        inline,
-        mono / inline
-    );
-
-    let kind = TransportKind::Queued {
-        faults: FaultModel::default(),
-        workers: 2,
-        batch: 1,
-    };
-    let d = unbundled_single(kind, TcConfig::default(), DcConfig::default());
-    let tc = d.tc(TcId(1));
-    let t0 = Instant::now();
-    load_tc(&tc, 0, n, 32);
-    let queued = ops_per_sec(n, t0.elapsed());
-    println!(
-        "{:<36} {:>14.0} {:>11.2}x",
-        "unbundled, queued (cloud)",
-        queued,
-        mono / queued
-    );
-    println!("paper claim: unbundling has longer code paths (§7) — factor above quantifies it.");
-}
-
-/// E2 — Figure 2: movie-site workloads.
-fn e2() {
-    header("E2 (Figure 2, §6.3): movie site W1–W4 — throughput, no 2PC anywhere");
-    let site = MovieSite::build(TransportKind::Inline, 500);
-    site.seed_movies(100).unwrap();
-    site.seed_users(40).unwrap();
-
-    let t0 = Instant::now();
-    let mut w2 = 0u64;
-    for u in 0..40u64 {
-        for m in 0..25u64 {
-            site.w2_add_review(u, (m * 7 + u) % 100, b"review body ***")
-                .unwrap();
-            w2 += 1;
-        }
-    }
-    println!(
-        "W2 add-review (2 DCs, 1 TC, 0 × 2PC): {:>10.0} txns/s",
-        ops_per_sec(w2, t0.elapsed())
-    );
-
-    let t0 = Instant::now();
-    let mut reviews = 0u64;
-    for m in 0..100u64 {
-        reviews += site
-            .w1_reviews_for_movie(m, ReadFlavor::Committed)
-            .unwrap()
-            .len() as u64;
-    }
-    println!(
-        "W1 reviews-per-movie (read committed):  {:>10.0} queries/s ({reviews} rows)",
-        ops_per_sec(100, t0.elapsed())
-    );
-
-    let t0 = Instant::now();
-    for u in 0..40u64 {
-        site.w3_update_profile(u, b"bio v2").unwrap();
-    }
-    println!(
-        "W3 profile update (1 DC):               {:>10.0} txns/s",
-        ops_per_sec(40, t0.elapsed())
-    );
-
-    let t0 = Instant::now();
-    let mut mine = 0u64;
-    for u in 0..40u64 {
-        mine += site.w4_reviews_by_user(u).unwrap().len() as u64;
-    }
-    println!(
-        "W4 reviews-by-user (1 DC, clustered):   {:>10.0} queries/s ({mine} rows)",
-        ops_per_sec(40, t0.elapsed())
-    );
-    println!(
-        "paper claim: each query touches ≤ 2 machines; readers never block (verified in tests)."
-    );
-}
-
-/// E3 — §3.1: the two range-locking protocols.
-fn e3() {
-    header("E3 (§3.1): range locking — fetch-ahead vs static range locks");
-    println!(
-        "{:<28} {:>10} {:>12} {:>12} {:>12}",
-        "protocol", "scan len", "scans/s", "locks/scan", "msgs/scan"
-    );
-    for (name, protocol) in [
-        (
-            "fetch-ahead (batch 32)",
-            ScanProtocol::FetchAhead { batch: 32 },
-        ),
-        (
-            "static ranges (16)",
-            ScanProtocol::StaticRanges(Arc::new(RangePartitioner::even_u64(16))),
-        ),
-        (
-            "static ranges (256)",
-            ScanProtocol::StaticRanges(Arc::new(RangePartitioner::even_u64(256))),
-        ),
-    ] {
-        for scan_len in [10u64, 100] {
-            let cfg = TcConfig {
-                scan_protocol: protocol.clone(),
-                ..Default::default()
-            };
-            let d = unbundled_single(TransportKind::Inline, cfg, DcConfig::default());
-            let tc = d.tc(TcId(1));
-            load_tc(&tc, 0, 1000, 16);
-            let (locks0, ..) = tc.lock_manager().stats().snapshot();
-            let reads0 = tc.stats().snapshot().reads_sent;
-            let iters = 200u64;
-            let t0 = Instant::now();
-            for i in 0..iters {
-                let start = (i * 13) % 800;
-                let t = tc.begin().unwrap();
-                tc.scan(
-                    t,
-                    TABLE,
-                    Key::from_u64(start),
-                    Some(Key::from_u64(start + scan_len)),
-                    None,
-                )
-                .unwrap();
-                tc.commit(t).unwrap();
-            }
-            let el = t0.elapsed();
-            let (locks1, ..) = tc.lock_manager().stats().snapshot();
-            let reads1 = tc.stats().snapshot().reads_sent;
-            println!(
-                "{:<28} {:>10} {:>12.0} {:>12.1} {:>12.1}",
-                name,
-                scan_len,
-                ops_per_sec(iters, el),
-                (locks1 - locks0) as f64 / iters as f64,
-                (reads1 - reads0) as f64 / iters as f64,
-            );
-        }
-    }
-    println!("paper claim: range locks need fewer locks but give up concurrency;");
-    println!("fetch-ahead pays speculative probe messages per scan. Shapes above.");
-}
-
-/// E4 — §5.1: out-of-order execution and the abLSN.
-fn e4() {
-    header("E4 (§5.1): out-of-order execution — abLSN keeps replay exactly-once");
-    let kind = TransportKind::Queued {
-        faults: FaultModel {
-            reorder: 0.4,
-            loss: 0.1,
-            ..Default::default()
-        },
-        workers: 4,
-        batch: 1,
-    };
-    let cfg = TcConfig {
-        resend_interval: std::time::Duration::from_millis(3),
-        ..Default::default()
-    };
-    let d = Arc::new(unbundled_single(kind, cfg, DcConfig::default()));
-    let n = 1000u64;
-    // Four concurrent clients interleave on the same pages: their
-    // non-conflicting operations genuinely arrive out of LSN order.
-    let d2 = d.clone();
-    run_concurrent(4, move |i| {
-        let tc = d2.tc(TcId(1));
-        for j in 0..(n / 4) {
-            let k = j * 4 + i as u64; // interleaved keys, same pages
-            let t = tc.begin().unwrap();
-            tc.insert(t, TABLE, Key::from_u64(k), vec![1; 16]).unwrap();
-            tc.commit(t).unwrap();
-        }
-    });
-    let tc = d.tc(TcId(1));
-    let snap = d.dc(DcId(1)).engine().stats().snapshot();
-    let tc_snap = tc.stats().snapshot();
-    println!("operations committed:        {n}");
-    println!("out-of-order page arrivals:  {}", snap.out_of_order);
-    println!("resends by TC:               {}", tc_snap.resends);
-    println!(
-        "duplicates suppressed by DC: {}",
-        snap.duplicates_suppressed
-    );
-    println!(
-        "ops applied at DC:           {} (== committed: exactly-once)",
-        snap.ops_applied
-    );
-    let rows = d.dc(DcId(1)).engine().dump_table(TABLE).unwrap().len();
-    println!("rows at DC:                  {rows}");
-    // Space comparison (paper: record-level LSNs "very expensive in space").
-    let server = d.dc(DcId(1));
-    let engine = server.engine();
-    let pages = engine.pool().cached_ids().len().max(1);
-    let per_record_lsn_bytes = rows * 8;
-    println!(
-        "space: record-level LSNs would cost {per_record_lsn_bytes} B; abLSN state across {pages} pages costs a low-water LSN + transient in-sets (pruned by LWM)."
-    );
-}
-
-/// E5 — §5.1.2: the three page-sync algorithms.
-fn e5() {
-    header("E5 (§5.1.2): page sync — flush outcome per algorithm");
-    println!(
-        "{:<16} {:>14} {:>12} {:>14} {:>18}",
-        "policy", "flushed w/o LWM", "flush-waits", "abLSN bytes", "after LWM arrives"
-    );
-    for (name, policy) in [
-        ("wait-for-lwm", SyncPolicy::WaitForLwm),
-        ("full-ablsn", SyncPolicy::FullAbLsn),
-        ("bounded(8)", SyncPolicy::Bounded(8)),
-    ] {
-        // Drive the DC engine directly: EOSL covers every operation but
-        // no low-water mark ever arrives, so in-sets stay populated —
-        // exactly the state the three algorithms handle differently.
-        use unbundled_core::{LogicalOp, Lsn, RequestId, TableId, TableSpec};
-        let engine = unbundled_dc::DcEngine::format(
-            DcId(1),
-            DcConfig {
-                sync_policy: policy,
-                ..Default::default()
-            },
-            unbundled_storage::SimDisk::new(),
-            Arc::new(unbundled_storage::LogStore::new()),
-        );
-        let t1 = TableId(1);
-        engine.create_table(TableSpec::plain(t1, "t")).unwrap();
-        for k in 0..200u64 {
-            engine
-                .perform(
-                    TcId(1),
-                    RequestId::Op(Lsn(k + 1)),
-                    &LogicalOp::Insert {
-                        table: t1,
-                        key: Key::from_u64(k),
-                        value: vec![1; 16],
-                    },
-                )
-                .unwrap();
-        }
-        engine.handle_eosl(TcId(1), Lsn(200));
-        let flushed_without = engine.flush_all();
-        let waits = engine.stats().snapshot().flush_waits;
-        engine.handle_lwm(TcId(1), Lsn(200));
-        let flushed_after = engine.flush_all();
-        let snap = engine.stats().snapshot();
-        println!(
-            "{:<16} {:>14} {:>12} {:>14} {:>18}",
-            name,
-            flushed_without,
-            waits,
-            snap.ablsn_bytes_flushed,
-            format!("{flushed_after} flushed"),
-        );
-    }
-    println!("paper claim: alg. 1 delays the flush (waits for LWM); alg. 2 never waits but");
-    println!("writes the full abLSN into the page; alg. 3 bounds the written set.");
-}
-
-/// E6 — §5.2: system transactions and their log cost.
-fn e6() {
-    header("E6 (§5.2): system transactions — splits/consolidations and log space");
-    let dc_cfg = DcConfig {
-        page_capacity: 512,
-        merge_threshold: 128,
-        ..Default::default()
-    };
-    let d = unbundled_single(TransportKind::Inline, TcConfig::default(), dc_cfg);
-    let tc = d.tc(TcId(1));
-    load_tc(&tc, 0, 800, 24);
-    let split_bytes = d.dc_log(DcId(1)).live_bytes();
-    let snap1 = d.dc(DcId(1)).engine().stats().snapshot();
-    // Mass deletion triggers consolidations with physical page images.
-    for k in 0..780u64 {
-        let t = tc.begin().unwrap();
-        tc.delete(t, TABLE, Key::from_u64(k)).unwrap();
-        tc.commit(t).unwrap();
-    }
-    let snap2 = d.dc(DcId(1)).engine().stats().snapshot();
-    let total_bytes = d.dc_log(DcId(1)).live_bytes();
-    println!("splits:                      {}", snap2.splits);
-    println!("consolidations:              {}", snap2.consolidations);
-    println!("DC-log bytes after loads:    {split_bytes}");
-    println!("DC-log bytes after deletes:  {total_bytes}");
-    if snap2.consolidations > 0 {
-        println!(
-            "≈ bytes per consolidation:   {} (physical page image, paper: 'more costly in log space… but page deletes are rare')",
-            (total_bytes.saturating_sub(split_bytes)) / snap2.consolidations.max(1)
-        );
-    }
-    let _ = snap1;
-    // Recovery ordering: structures first, then TC redo (exercised in tests).
-    d.dc_log(DcId(1)).force();
-    d.crash_dc(DcId(1));
-    let t0 = Instant::now();
-    d.reboot_dc(DcId(1));
-    println!(
-        "DC restart (systxn replay before TC redo): {:?}",
-        t0.elapsed()
-    );
-    d.dc(DcId(1)).engine().check_tree(TABLE);
-    println!("tree well-formed after recovery: yes");
-}
-
-/// E7 — §5.3: partial failures.
-fn e7() {
-    header("E7 (§5.3): partial failures — recovery work vs checkpoint distance");
-    println!(
-        "{:<30} {:>14} {:>14}",
-        "scenario", "redo resends", "recovery time"
-    );
-    for ops in [100u64, 500, 2000] {
-        let d = unbundled_single(
-            TransportKind::Inline,
-            TcConfig::default(),
-            DcConfig::default(),
-        );
-        let tc = d.tc(TcId(1));
-        load_tc(&tc, 0, 50, 16);
-        tc.checkpoint().unwrap();
-        load_tc(&tc, 1000, ops, 16);
-        d.crash_dc(DcId(1));
-        let before = tc.stats().snapshot().redo_resends;
-        let t0 = Instant::now();
-        d.reboot_dc(DcId(1));
-        let el = t0.elapsed();
-        let after = tc.stats().snapshot().redo_resends;
-        println!(
-            "{:<30} {:>14} {:>14?}",
-            format!("DC crash, {ops} ops past ckpt"),
-            after - before,
-            el
-        );
-    }
-    println!();
-    println!(
-        "{:<30} {:>12} {:>14} {:>14}",
-        "TC crash reset mode", "pages reset", "records reset", "time"
-    );
-    for (name, mode) in [
-        ("full drop", ResetMode::FullDrop),
-        ("selective", ResetMode::Selective),
-    ] {
-        let dc_cfg = DcConfig {
-            reset_mode: mode,
-            ..Default::default()
-        };
-        let d = unbundled_single(TransportKind::Inline, TcConfig::default(), dc_cfg);
-        let tc = d.tc(TcId(1));
-        load_tc(&tc, 0, 500, 16);
-        // Lost tail:
-        let t = tc.begin().unwrap();
-        tc.insert(t, TABLE, Key::from_u64(999_999), vec![1; 16])
-            .unwrap();
-        d.crash_tc(TcId(1));
-        let t0 = Instant::now();
-        d.reboot_tc(TcId(1));
-        let el = t0.elapsed();
-        let snap = d.dc(DcId(1)).engine().stats().snapshot();
-        println!(
-            "{:<30} {:>12} {:>14} {:>14?}",
-            name, snap.pages_reset, snap.records_reset, el
-        );
-    }
-    println!(
-        "paper claim: only pages whose abLSN includes post-stable-log operations are dropped."
-    );
-}
-
-/// E8 — §6: multiple TCs per DC.
-fn e8() {
-    header("E8 (§6): multiple TCs on one DC — scaling over disjoint partitions");
-    println!("{:<10} {:>14} {:>12}", "TCs", "txns/s", "speedup");
-    let per_tc = 400u64;
-    let mut base = 0.0f64;
-    for n in [1u16, 2, 4, 8] {
-        let d = Arc::new(multi_tc_deployment(n, DcConfig::default()));
-        let d2 = d.clone();
-        let el = run_concurrent(n as usize, move |i| {
-            let tcid = TcId(i as u16 + 1);
-            let tc = d2.tc(tcid);
-            load_tc(&tc, tc_partition_base(tcid.0) + 1, per_tc, 16);
-        });
-        let tput = ops_per_sec(per_tc * n as u64, el);
-        if n == 1 {
-            base = tput;
-        }
-        println!("{:<10} {:>14.0} {:>11.2}x", n, tput, tput / base);
-    }
-    // Per-TC abLSN overhead on shared pages.
-    let d = multi_tc_deployment(4, DcConfig::default());
-    for i in 1..=4u16 {
-        let tc = d.tc(TcId(i));
-        // Interleave all four TCs on the same key region → shared pages.
-        for k in 0..50u64 {
-            let t = tc.begin().unwrap();
-            tc.insert(t, TABLE, Key::from_u64(k * 4 + i as u64), vec![1; 8])
-                .unwrap();
-            tc.commit(t).unwrap();
-        }
-    }
-    let server = d.dc(DcId(1));
-    let engine = server.engine();
-    let mut max_tcs_on_page = 0usize;
-    let mut ab_bytes = 0usize;
-    for pid in engine.pool().cached_ids() {
-        if let Some(arc) = engine.pool().get_cached(pid) {
-            let g = arc.read();
-            max_tcs_on_page = max_tcs_on_page.max(g.ab.len());
-            ab_bytes += g.ab.encoded_size();
-        }
-    }
-    println!("shared pages carry up to {max_tcs_on_page} per-TC abLSNs ({ab_bytes} B total across cache)");
-    println!("paper claim: only pages with data from multiple TCs pay extra abLSNs.");
-}
-
-/// E9 — §7: unbundling overhead and thread placement.
-fn e9() {
-    header("E9 (§7): unbundling cost — bundled vs unbundled, colocated vs separate threads");
-    let iters = 2000u64;
-    println!("{:<40} {:>12}", "configuration", "rmw txns/s");
-
-    let m = monolith();
-    load_monolith(&m, 0, 500, 16);
-    let t0 = Instant::now();
-    for i in 0..iters {
-        let k = (i * 2654435761) % 500;
-        let t = m.begin();
-        let v = m
-            .read(t, TABLE, Key::from_u64(k))
-            .unwrap()
-            .unwrap_or_default();
-        m.update(t, TABLE, Key::from_u64(k), v).unwrap();
-        m.commit(t).unwrap();
-    }
-    println!(
-        "{:<40} {:>12.0}",
-        "monolith (bundled)",
-        ops_per_sec(iters, t0.elapsed())
-    );
-
-    let d = unbundled_single(
-        TransportKind::Inline,
-        TcConfig::default(),
-        DcConfig::default(),
-    );
-    let tc = d.tc(TcId(1));
-    load_tc(&tc, 0, 500, 16);
-    let t0 = Instant::now();
-    rmw_tc(&tc, iters, 500);
-    println!(
-        "{:<40} {:>12.0}",
-        "unbundled TC+DC colocated (inline)",
-        ops_per_sec(iters, t0.elapsed())
-    );
-
-    let kind = TransportKind::Queued {
-        faults: FaultModel::default(),
-        workers: 2,
-        batch: 1,
-    };
-    let d = unbundled_single(kind, TcConfig::default(), DcConfig::default());
-    let tc = d.tc(TcId(1));
-    load_tc(&tc, 0, 500, 16);
-    let t0 = Instant::now();
-    rmw_tc(&tc, iters, 500);
-    println!(
-        "{:<40} {:>12.0}",
-        "unbundled TC/DC separate threads",
-        ops_per_sec(iters, t0.elapsed())
-    );
-    println!("paper hypothesis: longer code paths, offset by deployment flexibility and");
-    println!("per-component parallelism (see E8 scaling).");
-}
-
-/// E10 — §4.2: contracts under message loss.
-fn e10() {
-    header("E10 (§4.2): resend + idempotence under message loss");
-    println!(
-        "{:<10} {:>12} {:>10} {:>12} {:>14}",
-        "loss", "txns/s", "resends", "duplicates", "rows (of 300)"
-    );
-    for loss in [0.0f64, 0.05, 0.1, 0.2, 0.3] {
-        let kind = TransportKind::Queued {
-            faults: FaultModel {
-                loss,
-                ..Default::default()
-            },
-            workers: 4,
-            batch: 1,
-        };
-        let cfg = TcConfig {
-            resend_interval: std::time::Duration::from_millis(2),
-            ..Default::default()
-        };
-        let d = unbundled_single(kind, cfg, DcConfig::default());
-        let tc = d.tc(TcId(1));
-        let n = 300u64;
-        let t0 = Instant::now();
-        load_tc(&tc, 0, n, 16);
-        let el = t0.elapsed();
-        let tc_snap = tc.stats().snapshot();
-        let dc_snap = d.dc(DcId(1)).engine().stats().snapshot();
-        let rows = d.dc(DcId(1)).engine().dump_table(TABLE).unwrap().len();
-        println!(
-            "{:<10} {:>12.0} {:>10} {:>12} {:>14}",
-            format!("{:.0}%", loss * 100.0),
-            ops_per_sec(n, el),
-            tc_snap.resends,
-            dc_snap.duplicates_suppressed,
-            rows,
-        );
-    }
-    println!("paper claim: TC resend + DC idempotence ⇒ exactly-once regardless of loss.");
-}
-
-/// E11 — the commit path: group commit (fixed vs adaptive gather
-/// window) and batching on both wire directions. Shares its harness
-/// with `benches/e11_group_commit.rs`; optionally serializes the rows
-/// and gates as JSON bench telemetry. The regression gates are
-/// enforced here too (telemetry is written first, so a failing run
-/// still leaves its numbers behind for the CI artifact).
-fn e11(json: Option<&str>) {
-    header("E11: commit path — group commit, adaptive gather window, reply batching");
-    let smoke = std::env::var("E11_SMOKE").is_ok();
-    let report = unbundled_bench::e11::run_e11(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e11 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-fn e12(json: Option<&str>) {
-    header("E12: replication — read-only replicas, bounded staleness, failover promotion");
-    let smoke = std::env::var("E12_SMOKE").is_ok();
-    let report = unbundled_bench::e12::run_e12(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e12 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-/// E13 — the open-loop arrival-driven commit workload: seeded arrival
-/// processes into a bounded admission queue, latency measured from the
-/// scheduled arrival time, and the latency-aware adaptive gather
-/// window against fixed settings. Telemetry is written before the
-/// gates are asserted, like e11/e12.
-fn e13(json: Option<&str>) {
-    header("E13: open-loop arrivals — bounded admission, latency SLOs, adaptive gather window");
-    let smoke = std::env::var("E13_SMOKE").is_ok();
-    let report = unbundled_bench::e13::run_e13(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e13 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-/// E14 — the key-range sharded TC tier: scale-out over per-shard redo
-/// logs, the shard-map tax on the single-shard fast path, cross-TC
-/// transactions through 2PC, and shared-device group commit via the
-/// force arbiter. Telemetry is written before the gates are asserted,
-/// like e11/e12/e13.
-fn e14(json: Option<&str>) {
-    header("E14: sharded TC — scale-out, cross-TC 2PC, shared-device group commit");
-    let smoke = std::env::var("E14_SMOKE").is_ok();
-    let report = unbundled_bench::e14::run_e14(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e14 telemetry written to {path}");
-    }
-    report.assert_gates();
-}
-
-/// E15 — online TC rebalance: two elastic range moves (out and back)
-/// under a sub-capacity open-loop arrival stream, gated on zero lost
-/// acknowledged writes, both moves completing and settling the map,
-/// and bounded disturbance (throughput dip and worst arrival wait).
-/// Telemetry is written before the gates are asserted, like e11–e14.
-fn e15(json: Option<&str>) {
-    header("E15: online rebalance — elastic range moves under open-loop load");
-    let smoke = std::env::var("E15_SMOKE").is_ok();
-    let report = unbundled_bench::e15::run_e15(smoke);
-    report.print();
-    if let Some(path) = json {
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("e15 telemetry written to {path}");
-    }
-    report.assert_gates();
 }

@@ -1,12 +1,10 @@
-//! E11 harness: group commit + batched transport, both directions.
+//! E11: group commit + batched transport, both directions.
 //!
-//! Shared by `benches/e11_group_commit.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e11.json` telemetry), so the gate and the recorded trajectory
-//! can never drift apart.
-//!
-//! The experiment measures the three commit-path amortizations under a
-//! realistic log-device latency:
+//! The unbundling tax of E9 has three hot components on the commit
+//! path: a log force per committing transaction, a request datagram per
+//! operation, and an ack datagram per operation reply. The experiment
+//! measures the three amortizations under a realistic log-device
+//! latency:
 //!
 //! * **group commit** — per-commit force vs. the group-force path at
 //!   1/8/32 concurrent committers;
@@ -17,6 +15,7 @@
 //!   `ReplyBatch` acks vs. forced per-ack replies, under a
 //!   per-datagram wire delay (the cost batching amortizes).
 
+use crate::experiment::{best_of, find, Gate, Report, Row};
 use crate::{unbundled_single, TABLE};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,53 +29,6 @@ pub const FORCE_LATENCY: Duration = Duration::from_micros(150);
 
 /// Simulated per-datagram wire delay for the reply-path comparison.
 pub const WIRE_DELAY: Duration = Duration::from_micros(25);
-
-/// One measured configuration.
-pub struct E11Row {
-    /// Configuration label.
-    pub label: String,
-    /// Concurrent committers.
-    pub threads: usize,
-    /// Committed transactions per second.
-    pub commits_per_sec: f64,
-    /// Log flushes per committed transaction.
-    pub forces_per_commit: f64,
-    /// EOSL/LWM publications skipped by group-commit coalescing.
-    pub coalesced_publishes: u64,
-    /// `PerformBatch` datagrams formed on the request direction.
-    pub batches: u64,
-    /// `ReplyBatch` datagrams formed on the reply direction.
-    pub reply_batches: u64,
-    /// Gather window the adaptive controller settled on (µs; zero for
-    /// fixed windows or idle logs).
-    pub chosen_window_us: f64,
-    /// Mean committers covered per led flush.
-    pub group_size: f64,
-}
-
-/// One pass/fail regression gate.
-pub struct E11Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value (a ratio).
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E11Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Commits per committer thread.
-    pub per_thread: u64,
-    /// All measured rows.
-    pub rows: Vec<E11Row>,
-    /// Regression gates over the rows.
-    pub gates: Vec<E11Gate>,
-}
 
 struct RunCfg<'a> {
     label: &'a str,
@@ -92,7 +44,7 @@ struct RunCfg<'a> {
     reply_batch: Option<usize>,
 }
 
-fn run(cfg: RunCfg<'_>) -> E11Row {
+fn measure(cfg: RunCfg<'_>) -> Row {
     let tc_cfg = TcConfig {
         // Keep the background force out of the measurement: only the
         // commit path may force.
@@ -158,21 +110,34 @@ fn run(cfg: RunCfg<'_>) -> E11Row {
         links.iter().map(|l| l.reply_batches()).sum::<u64>() - reply_batches_before;
     let led = gf.led_flushes - gf_before.led_flushes;
     let gathered = gf.gathered_waiters - gf_before.gathered_waiters;
-    E11Row {
-        label: cfg.label.to_string(),
-        threads: cfg.threads,
-        commits_per_sec: commits as f64 / wall.as_secs_f64(),
-        forces_per_commit: (after.log_forces - before.log_forces) as f64 / commits as f64,
-        coalesced_publishes: tc.stats().snapshot().publishes_coalesced - publishes_before,
-        batches,
-        reply_batches,
-        chosen_window_us: chosen_window.as_secs_f64() * 1e6,
-        group_size: if led == 0 {
-            0.0
-        } else {
-            gathered as f64 / led as f64
-        },
-    }
+    let group_size = if led == 0 {
+        0.0
+    } else {
+        gathered as f64 / led as f64
+    };
+    Row::new()
+        .with("label", cfg.label)
+        .with("threads", cfg.threads)
+        .with("commits_per_sec", commits as f64 / wall.as_secs_f64())
+        // Log flushes per committed transaction.
+        .with(
+            "forces_per_commit",
+            (after.log_forces - before.log_forces) as f64 / commits as f64,
+        )
+        // EOSL/LWM publications skipped by group-commit coalescing.
+        .with(
+            "coalesced_publishes",
+            tc.stats().snapshot().publishes_coalesced - publishes_before,
+        )
+        // `PerformBatch` / `ReplyBatch` datagrams formed on the request
+        // and reply directions.
+        .with("batches", batches)
+        .with("reply_batches", reply_batches)
+        // Gather window the adaptive controller settled on (µs; zero
+        // for fixed windows or idle logs).
+        .with("chosen_window_us", chosen_window.as_secs_f64() * 1e6)
+        // Mean committers covered per led flush.
+        .with("group_size", group_size)
 }
 
 fn group(window: GatherWindow) -> Option<GroupCommitCfg> {
@@ -197,28 +162,15 @@ fn fixed_sweep_label(threads: usize, win: Duration) -> String {
     format!("inline group fixed={}us @{}", win.as_micros(), threads)
 }
 
-/// Best of `reps` repetitions by commits/sec. Wall-clock noise on a CI
-/// runner is one-sided (interference only slows a run down), so the
-/// fastest repetition is the least-biased estimate of a configuration's
-/// capability — and using it on *both* sides of a ratio gate keeps the
-/// winner's-curse bias from the multi-config sweep out of the
-/// denominator.
-fn best_of(reps: usize, f: impl Fn() -> E11Row) -> E11Row {
-    (0..reps.max(1))
-        .map(|_| f())
-        .max_by(|a, b| a.commits_per_sec.total_cmp(&b.commits_per_sec))
-        .expect("at least one rep")
-}
-
 /// Run the full experiment. `smoke` shrinks the per-committer commit
 /// counts for CI; the gates are identical in both modes.
-pub fn run_e11(smoke: bool) -> E11Report {
+pub fn run(smoke: bool) -> Report {
     let per_thread: u64 = if smoke { 25 } else { 150 };
     let mut rows = Vec::new();
 
     // --- Group commit vs per-commit force (PR 2's core comparison).
     for threads in [1usize, 8, 32] {
-        rows.push(run(RunCfg {
+        rows.push(measure(RunCfg {
             label: "inline per-commit force",
             threads,
             per_thread,
@@ -227,7 +179,7 @@ pub fn run_e11(smoke: bool) -> E11Report {
             kind: TransportKind::Inline,
             reply_batch: None,
         }));
-        rows.push(run(RunCfg {
+        rows.push(measure(RunCfg {
             label: "inline group adaptive",
             threads,
             per_thread,
@@ -254,7 +206,7 @@ pub fn run_e11(smoke: bool) -> E11Report {
         let n = per_thread.max(300);
         let run_spans = |label: &'static str, enabled: bool| {
             unbundled_obs::set_spans_enabled(enabled);
-            let row = run(RunCfg {
+            let row = measure(RunCfg {
                 label,
                 threads: 32,
                 per_thread: n,
@@ -267,16 +219,15 @@ pub fn run_e11(smoke: bool) -> E11Report {
             unbundled_obs::clear_spans();
             row
         };
-        let mut best: Option<(E11Row, E11Row)> = None;
+        let ratio = |(off, on): &(Row, Row)| on.num("commits_per_sec") / off.num("commits_per_sec");
+        let mut best: Option<(Row, Row)> = None;
         for _rep in 0..SPAN_REPS {
-            let off = run_spans("inline group fixed, spans off", false);
-            let on = run_spans("inline group fixed, spans on", true);
-            let ratio = on.commits_per_sec / off.commits_per_sec;
-            if best
-                .as_ref()
-                .is_none_or(|(b_off, b_on)| ratio > b_on.commits_per_sec / b_off.commits_per_sec)
-            {
-                best = Some((off, on));
+            let pair = (
+                run_spans("inline group fixed, spans off", false),
+                run_spans("inline group fixed, spans on", true),
+            );
+            if best.as_ref().is_none_or(|b| ratio(&pair) > ratio(b)) {
+                best = Some(pair);
             }
         }
         let (off, on) = best.expect("at least one rep");
@@ -321,7 +272,7 @@ pub fn run_e11(smoke: bool) -> E11Report {
                 GatherWindow::adaptive(),
             )))
             .collect();
-        let mut best: Vec<Option<E11Row>> = configs.iter().map(|_| None).collect();
+        let mut best: Vec<Option<Row>> = configs.iter().map(|_| None).collect();
         // The adaptive-vs-fixed gate compares *within* a repetition:
         // taking each configuration's best across reps first and
         // dividing after lets machine drift between an adaptive rep
@@ -331,7 +282,7 @@ pub fn run_e11(smoke: bool) -> E11Report {
         for _rep in 0..SWEEP_REPS {
             let mut rep_cps: Vec<f64> = Vec::with_capacity(configs.len());
             for (i, (label, window)) in configs.iter().enumerate() {
-                let row = run(RunCfg {
+                let row = measure(RunCfg {
                     label,
                     threads,
                     per_thread: n,
@@ -340,10 +291,11 @@ pub fn run_e11(smoke: bool) -> E11Report {
                     kind: TransportKind::Inline,
                     reply_batch: None,
                 });
-                rep_cps.push(row.commits_per_sec);
+                let cps = row.num("commits_per_sec");
+                rep_cps.push(cps);
                 if best[i]
                     .as_ref()
-                    .is_none_or(|b| row.commits_per_sec > b.commits_per_sec)
+                    .is_none_or(|b| cps > b.num("commits_per_sec"))
                 {
                     best[i] = Some(row);
                 }
@@ -361,7 +313,7 @@ pub fn run_e11(smoke: bool) -> E11Report {
     }
 
     // --- Queued transport: request batching (PR 2's gate).
-    rows.push(run(RunCfg {
+    rows.push(measure(RunCfg {
         label: "queued per-commit force",
         threads: 32,
         per_thread,
@@ -370,7 +322,7 @@ pub fn run_e11(smoke: bool) -> E11Report {
         kind: queued(1, Duration::ZERO),
         reply_batch: None,
     }));
-    rows.push(run(RunCfg {
+    rows.push(measure(RunCfg {
         label: "queued group commit + batch=16",
         threads: 32,
         per_thread,
@@ -382,9 +334,9 @@ pub fn run_e11(smoke: bool) -> E11Report {
 
     // --- Reply path: coalesced ReplyBatch acks vs forced per-ack
     // replies, under a per-datagram wire delay. Also gate rows: best of
-    // three repetitions each.
-    rows.push(best_of(SWEEP_REPS, || {
-        run(RunCfg {
+    // `SWEEP_REPS` repetitions each.
+    rows.push(best_of(SWEEP_REPS, "commits_per_sec", &[], |_| {
+        measure(RunCfg {
             label: "queued wire-delay per-ack replies",
             threads: 32,
             per_thread,
@@ -394,8 +346,8 @@ pub fn run_e11(smoke: bool) -> E11Report {
             reply_batch: Some(1),
         })
     }));
-    rows.push(best_of(SWEEP_REPS, || {
-        run(RunCfg {
+    rows.push(best_of(SWEEP_REPS, "commits_per_sec", &[], |_| {
+        measure(RunCfg {
             label: "queued wire-delay reply batching",
             threads: 32,
             per_thread,
@@ -407,56 +359,52 @@ pub fn run_e11(smoke: bool) -> E11Report {
     }));
 
     let gates = gates(&rows, &sweep_paired);
-    E11Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        per_thread,
+    Report {
+        params: Row::new()
+            .with("per_thread_commits", per_thread)
+            .with("force_latency_us", FORCE_LATENCY.as_micros() as u64)
+            .with("wire_delay_us", WIRE_DELAY.as_micros() as u64),
         rows,
         gates,
+        notes: Vec::new(),
     }
 }
 
-fn find<'a>(rows: &'a [E11Row], label: &str, threads: usize) -> &'a E11Row {
-    rows.iter()
-        .find(|r| r.label == label && r.threads == threads)
-        .unwrap_or_else(|| panic!("missing row {label} @{threads}"))
+/// `metric` of the 32-committer row labelled `label`.
+fn at32(rows: &[Row], label: &str, metric: &str) -> f64 {
+    find(
+        rows,
+        &[("label", label.into()), ("threads", 32usize.into())],
+    )
+    .num(metric)
 }
 
-fn gates(rows: &[E11Row], sweep_paired: &[(usize, f64)]) -> Vec<E11Gate> {
-    let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E11Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
-    };
-
-    // The PR 2 regression bars: group commit must keep its edge.
-    let base = find(rows, "inline per-commit force", 32);
-    let grp = find(rows, "inline group adaptive", 32);
-    gate(
-        "inline group commit speedup @32 committers".into(),
-        grp.commits_per_sec / base.commits_per_sec,
-        2.0,
-    );
-    gate(
-        "inline group commit flush amortization @32 (1/forces-per-commit)".into(),
-        1.0 / grp.forces_per_commit.max(f64::EPSILON),
-        1.0 + f64::EPSILON,
-    );
-    let qbase = find(rows, "queued per-commit force", 32);
-    let qgrp = find(rows, "queued group commit + batch=16", 32);
-    gate(
-        "queued group commit + request batching speedup @32".into(),
-        qgrp.commits_per_sec / qbase.commits_per_sec,
-        2.0,
-    );
-    gate(
-        "queued group commit flush amortization @32 (1/forces-per-commit)".into(),
-        1.0 / qgrp.forces_per_commit.max(f64::EPSILON),
-        1.0 + f64::EPSILON,
-    );
+fn gates(rows: &[Row], sweep_paired: &[(usize, f64)]) -> Vec<Gate> {
+    let cps = |label: &str| at32(rows, label, "commits_per_sec");
+    let amortization = |label: &str| 1.0 / at32(rows, label, "forces_per_commit").max(f64::EPSILON);
+    let mut gates = vec![
+        // Group commit must keep its edge.
+        Gate::at_least(
+            "inline group commit speedup @32 committers",
+            cps("inline group adaptive") / cps("inline per-commit force"),
+            2.0,
+        ),
+        Gate::at_least(
+            "inline group commit flush amortization @32 (1/forces-per-commit)",
+            amortization("inline group adaptive"),
+            1.0 + f64::EPSILON,
+        ),
+        Gate::at_least(
+            "queued group commit + request batching speedup @32",
+            cps("queued group commit + batch=16") / cps("queued per-commit force"),
+            2.0,
+        ),
+        Gate::at_least(
+            "queued group commit flush amortization @32 (1/forces-per-commit)",
+            amortization("queued group commit + batch=16"),
+            1.0 + f64::EPSILON,
+        ),
+    ];
 
     // Adaptive window close to the best fixed window, both at a solo
     // committer (best fixed is zero wait) and at 32 (best fixed is a
@@ -469,139 +417,26 @@ fn gates(rows: &[E11Row], sweep_paired: &[(usize, f64)]) -> Vec<E11Gate> {
     // the MVCC commit stamps added to the commit path make the
     // non-force-bound configurations a few percent noisier.
     for &(threads, paired_ratio) in sweep_paired {
-        gate(
+        gates.push(Gate::at_least(
             format!("adaptive window vs best fixed @{threads} committers"),
             paired_ratio,
             if threads == 1 { 0.9 } else { 0.85 },
-        );
+        ));
     }
 
     // Spans are a per-event pair of thread-local ring stores; enabling
     // them must not cost more than 5% of commit throughput.
-    let spans_off = find(rows, "inline group fixed, spans off", 32);
-    let spans_on = find(rows, "inline group fixed, spans on", 32);
-    gate(
-        "span-enabled throughput vs spans off @32 committers".into(),
-        spans_on.commits_per_sec / spans_off.commits_per_sec,
+    gates.push(Gate::at_least(
+        "span-enabled throughput vs spans off @32 committers",
+        cps("inline group fixed, spans on") / cps("inline group fixed, spans off"),
         0.95,
-    );
+    ));
 
     // Reply batching must amortize the per-datagram wire cost.
-    let per_ack = find(rows, "queued wire-delay per-ack replies", 32);
-    let batched = find(rows, "queued wire-delay reply batching", 32);
-    gate(
-        "reply batching speedup over per-ack replies @32, batch=16".into(),
-        batched.commits_per_sec / per_ack.commits_per_sec,
+    gates.push(Gate::at_least(
+        "reply batching speedup over per-ack replies @32, batch=16",
+        cps("queued wire-delay reply batching") / cps("queued wire-delay per-ack replies"),
         1.5,
-    );
+    ));
     gates
-}
-
-impl E11Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e11_group_commit ({} mode, force latency {:?}, wire delay {:?}, {} commits/committer)",
-            self.mode, FORCE_LATENCY, WIRE_DELAY, self.per_thread
-        );
-        println!(
-            "{:<38} {:>8} {:>12} {:>14} {:>9} {:>9} {:>9} {:>10} {:>8}",
-            "config",
-            "threads",
-            "commits/s",
-            "forces/commit",
-            "coalesced",
-            "batches",
-            "rbatches",
-            "window_us",
-            "group"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<38} {:>8} {:>12.0} {:>14.3} {:>9} {:>9} {:>9} {:>10.1} {:>8.1}",
-                r.label,
-                r.threads,
-                r.commits_per_sec,
-                r.forces_per_commit,
-                r.coalesced_publishes,
-                r.batches,
-                r.reply_batches,
-                r.chosen_window_us,
-                r.group_size
-            );
-        }
-        for g in &self.gates {
-            println!(
-                "gate: {:<58} {:>6.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e11 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies:
-    /// labels are plain ASCII and every value is numeric).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e11_group_commit\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"per_thread_commits\": {},\n", self.per_thread));
-        s.push_str(&format!(
-            "  \"force_latency_us\": {},\n  \"wire_delay_us\": {},\n",
-            FORCE_LATENCY.as_micros(),
-            WIRE_DELAY.as_micros()
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"threads\": {}, \"commits_per_sec\": {}, \
-                 \"forces_per_commit\": {}, \"coalesced_publishes\": {}, \"batches\": {}, \
-                 \"reply_batches\": {}, \"chosen_window_us\": {}, \"group_size\": {}}}{}\n",
-                r.label,
-                r.threads,
-                num(r.commits_per_sec),
-                num(r.forces_per_commit),
-                r.coalesced_publishes,
-                r.batches,
-                r.reply_batches,
-                num(r.chosen_window_us),
-                num(r.group_size),
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
 }

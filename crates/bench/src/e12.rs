@@ -1,9 +1,5 @@
-//! E12 harness: logical log shipping — read-only replicas, bounded
-//! staleness, failover promotion.
-//!
-//! Shared by `benches/e12_replication.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e12.json` telemetry).
+//! E12: logical log shipping — read-only replicas, bounded staleness,
+//! failover promotion.
 //!
 //! The experiment models each DC as a service channel: a queued link
 //! with one worker and a per-datagram wire delay, so a DC serves at most
@@ -21,6 +17,7 @@
 //!   acknowledged commit survives a post-promotion crash of the new
 //!   primary *and* the TC.
 
+use crate::experiment::{find, Gate, Report, Row};
 use crate::TABLE;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,50 +36,6 @@ pub const WIRE_DELAY: Duration = Duration::from_micros(25);
 
 const PRIMARY: DcId = DcId(1);
 const KEYS: u64 = 64;
-
-/// One measured configuration.
-pub struct E12Row {
-    /// Configuration label.
-    pub label: String,
-    /// Read-only replicas serving reads.
-    pub replicas: usize,
-    /// Aggregate committed reads per second.
-    pub reads_per_sec: f64,
-    /// Reads served by replicas (the rest fell back to the primary).
-    pub replica_reads: u64,
-    /// Replica-eligible reads that fell back to the primary.
-    pub fallbacks: u64,
-    /// Writer transactions committed during the read phase.
-    pub commits: u64,
-    /// `ShipBatch` datagrams shipped.
-    pub ship_batches: u64,
-    /// Read-your-writes staleness violations (must be zero).
-    pub stale_violations: u64,
-}
-
-/// One pass/fail regression gate.
-pub struct E12Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E12Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Reads per reader thread.
-    pub per_reader: u64,
-    /// All measured rows.
-    pub rows: Vec<E12Row>,
-    /// Regression gates over the rows.
-    pub gates: Vec<E12Gate>,
-}
 
 fn service_channel() -> TransportKind {
     TransportKind::Queued {
@@ -143,7 +96,7 @@ fn wait_converged(d: &Deployment, deadline: Duration) {
 /// One read-scaling configuration: `readers` threads issue point reads
 /// with a permissive staleness bound while one writer keeps committing;
 /// afterwards a read-your-writes staleness sweep counts violations.
-fn run_read_mix(replicas: usize, readers: usize, per_reader: u64, stale_probes: u64) -> E12Row {
+fn run_read_mix(replicas: usize, readers: usize, per_reader: u64, stale_probes: u64) -> Row {
     let d = Arc::new(deployment(replicas));
     let tc = d.tc(TcId(1));
     for k in 0..KEYS {
@@ -247,16 +200,27 @@ fn run_read_mix(replicas: usize, readers: usize, per_reader: u64, stale_probes: 
 
     let snap = tc.stats().snapshot();
     let reads = readers as u64 * per_reader;
-    E12Row {
-        label: format!("{replicas} replicas, {readers} readers"),
-        replicas,
-        reads_per_sec: reads as f64 / wall.as_secs_f64(),
-        replica_reads: snap.replica_reads - reads_before.replica_reads,
-        fallbacks: snap.replica_read_fallbacks - reads_before.replica_read_fallbacks,
-        commits: commits.load(Ordering::Relaxed),
-        ship_batches: snap.ship_batches,
-        stale_violations: violations,
-    }
+    Row::new()
+        .with("label", format!("{replicas} replicas, {readers} readers"))
+        .with("replicas", replicas)
+        // Aggregate committed reads per second.
+        .with("reads_per_sec", reads as f64 / wall.as_secs_f64())
+        // Reads served by replicas, and replica-eligible reads that
+        // fell back to the primary.
+        .with(
+            "replica_reads",
+            snap.replica_reads - reads_before.replica_reads,
+        )
+        .with(
+            "fallbacks",
+            snap.replica_read_fallbacks - reads_before.replica_read_fallbacks,
+        )
+        // Writer transactions committed during the read phase.
+        .with("commits", commits.load(Ordering::Relaxed))
+        // `ShipBatch` datagrams shipped.
+        .with("ship_batches", snap.ship_batches)
+        // Read-your-writes staleness violations (must be zero).
+        .with("stale_violations", violations)
 }
 
 /// Failover drill: commit against the primary, promote a replica,
@@ -305,7 +269,7 @@ fn run_failover() -> bool {
 
 /// Run the full experiment. `smoke` shrinks the workload for CI; the
 /// gates are identical in both modes.
-pub fn run_e12(smoke: bool) -> E12Report {
+pub fn run(smoke: bool) -> Report {
     let per_reader: u64 = if smoke { 150 } else { 600 };
     let stale_probes: u64 = if smoke { 25 } else { 100 };
     let readers = 8usize;
@@ -315,157 +279,40 @@ pub fn run_e12(smoke: bool) -> E12Report {
     }
     let failover_ok = run_failover();
     let gates = gates(&rows, failover_ok);
-    E12Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        per_reader,
+    Report {
+        params: Row::new()
+            .with("per_reader_reads", per_reader)
+            .with("wire_delay_us", WIRE_DELAY.as_micros() as u64)
+            .with("force_latency_us", FORCE_LATENCY.as_micros() as u64),
         rows,
         gates,
+        notes: Vec::new(),
     }
 }
 
-fn gates(rows: &[E12Row], failover_ok: bool) -> Vec<E12Gate> {
-    let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E12Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
-    };
-    let base = rows
-        .iter()
-        .find(|r| r.replicas == 0)
-        .expect("primary-only row");
-    let four = rows
-        .iter()
-        .find(|r| r.replicas == 4)
-        .expect("4-replica row");
-    gate(
-        "aggregate read throughput @4 replicas vs primary-only".into(),
-        four.reads_per_sec / base.reads_per_sec,
-        2.0,
-    );
-    gate(
-        "replicas actually serve reads @4 (replica-read share)".into(),
-        four.replica_reads as f64 / (four.replica_reads + four.fallbacks).max(1) as f64,
-        0.5,
-    );
-    let total_violations: u64 = rows.iter().map(|r| r.stale_violations).sum();
-    gate(
-        "zero stale-read violations across all staleness settings".into(),
-        if total_violations == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    gate(
-        "failover: promoted replica serves writes with full durability".into(),
-        if failover_ok { 1.0 } else { 0.0 },
-        1.0,
-    );
-    gates
-}
-
-impl E12Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e12_replication ({} mode, wire delay {:?}, force latency {:?}, {} reads/reader)",
-            self.mode, WIRE_DELAY, FORCE_LATENCY, self.per_reader
-        );
-        println!(
-            "{:<26} {:>9} {:>12} {:>14} {:>10} {:>9} {:>12} {:>11}",
-            "config",
-            "replicas",
-            "reads/s",
-            "replica_reads",
-            "fallbacks",
-            "commits",
-            "ship_batches",
-            "stale_viol"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<26} {:>9} {:>12.0} {:>14} {:>10} {:>9} {:>12} {:>11}",
-                r.label,
-                r.replicas,
-                r.reads_per_sec,
-                r.replica_reads,
-                r.fallbacks,
-                r.commits,
-                r.ship_batches,
-                r.stale_violations
-            );
-        }
-        for g in &self.gates {
-            println!(
-                "gate: {:<58} {:>6.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e12 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e12_replication\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"per_reader_reads\": {},\n", self.per_reader));
-        s.push_str(&format!(
-            "  \"wire_delay_us\": {},\n  \"force_latency_us\": {},\n",
-            WIRE_DELAY.as_micros(),
-            FORCE_LATENCY.as_micros()
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"replicas\": {}, \"reads_per_sec\": {}, \
-                 \"replica_reads\": {}, \"fallbacks\": {}, \"commits\": {}, \
-                 \"ship_batches\": {}, \"stale_violations\": {}}}{}\n",
-                r.label,
-                r.replicas,
-                num(r.reads_per_sec),
-                r.replica_reads,
-                r.fallbacks,
-                r.commits,
-                r.ship_batches,
-                r.stale_violations,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
+fn gates(rows: &[Row], failover_ok: bool) -> Vec<Gate> {
+    let base = find(rows, &[("replicas", 0usize.into())]);
+    let four = find(rows, &[("replicas", 4usize.into())]);
+    let replica_reads = four.num("replica_reads");
+    let total_violations: f64 = rows.iter().map(|r| r.num("stale_violations")).sum();
+    vec![
+        Gate::at_least(
+            "aggregate read throughput @4 replicas vs primary-only",
+            four.num("reads_per_sec") / base.num("reads_per_sec"),
+            2.0,
+        ),
+        Gate::at_least(
+            "replicas actually serve reads @4 (replica-read share)",
+            replica_reads / (replica_reads + four.num("fallbacks")).max(1.0),
+            0.5,
+        ),
+        Gate::holds(
+            "zero stale-read violations across all staleness settings",
+            total_violations == 0.0,
+        ),
+        Gate::holds(
+            "failover: promoted replica serves writes with full durability",
+            failover_ok,
+        ),
+    ]
 }

@@ -1,9 +1,4 @@
-//! E14 harness: key-range sharded TC tier scale-out.
-//!
-//! Shared by `benches/e14_sharded_tc.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e14.json` telemetry), so the gate and the recorded trajectory
-//! can never drift apart.
+//! E14: key-range sharded TC tier scale-out.
 //!
 //! The experiment measures what partitioning the TC by key range buys
 //! (and costs) under a realistic log-device latency:
@@ -22,6 +17,7 @@
 //!   (requests gathered during a device flush share the next one) vs.
 //!   the serial baseline (every log force queues its own device flush).
 
+use crate::experiment::{best_of, find, Gate, Report, Row};
 use crate::TABLE;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,54 +33,10 @@ pub const FORCE_LATENCY: Duration = Duration::from_micros(150);
 /// Committer threads per TC shard.
 pub const THREADS_PER_SHARD: usize = 4;
 
-/// One measured configuration.
-pub struct E14Row {
-    /// Configuration label.
-    pub label: String,
-    /// TC shards in the deployment.
-    pub shards: u16,
-    /// Total committer threads.
-    pub threads: usize,
-    /// Committed transactions per second (counted by the workload
-    /// threads — TC counters would double-count participant branches).
-    pub commits_per_sec: f64,
-    /// Cross-shard transactions committed through 2PC.
-    pub cross_commits: u64,
-    /// Prepare votes forced at participants.
-    pub prepares: u64,
-    /// Shared-device flushes per committed transaction (zero when each
-    /// shard owns its device).
-    pub device_flushes_per_commit: f64,
-}
-
-/// One pass/fail regression gate.
-pub struct E14Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value (a ratio).
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E14Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Commits per committer thread.
-    pub per_thread: u64,
-    /// All measured rows.
-    pub rows: Vec<E14Row>,
-    /// Regression gates over the rows.
-    pub gates: Vec<E14Gate>,
-}
-
 /// `n` TC shards, each owning one DC over an inline link, key space
 /// split evenly by the shard map (paper Section 6.1: partitioned
 /// transaction services over the shared record layer).
-pub fn sharded_tc_deployment(n: u16, with_map: bool) -> Deployment {
+fn sharded_tc_deployment(n: u16, with_map: bool) -> Deployment {
     let tc_cfg = TcConfig {
         // Only the commit path may force.
         force_every: usize::MAX,
@@ -135,7 +87,7 @@ struct RunCfg {
     per_thread: u64,
 }
 
-fn run(cfg: &RunCfg) -> E14Row {
+fn measure(cfg: &RunCfg) -> Row {
     let n = cfg.shards;
     let d = sharded_tc_deployment(n, cfg.with_map);
     let ids: Vec<TcId> = (1..=n).map(TcId).collect();
@@ -222,29 +174,34 @@ fn run(cfg: &RunCfg) -> E14Row {
     let device_flushes = arb
         .as_ref()
         .map_or(0, |a| a.stats().device_flushes - flushes_before);
-    E14Row {
-        label: cfg.label.clone(),
-        shards: n,
-        threads: total_threads,
-        commits_per_sec: commits as f64 / wall.as_secs_f64(),
-        cross_commits,
-        prepares,
-        device_flushes_per_commit: device_flushes as f64 / commits as f64,
-    }
+    Row::new()
+        .with("label", cfg.label.as_str())
+        .with("shards", n)
+        .with("threads", total_threads)
+        // Committed transactions per second (counted by the workload
+        // threads — TC counters would double-count participant
+        // branches).
+        .with("commits_per_sec", commits as f64 / wall.as_secs_f64())
+        // Cross-shard transactions committed through 2PC, and prepare
+        // votes forced at participants.
+        .with("cross_commits", cross_commits)
+        .with("prepares", prepares)
+        // Shared-device flushes per committed transaction (zero when
+        // each shard owns its device).
+        .with(
+            "device_flushes_per_commit",
+            device_flushes as f64 / commits as f64,
+        )
 }
 
-/// Best of `reps` repetitions by commits/sec (CI wall-clock noise is
-/// one-sided; see e11's rationale).
-fn best_of(reps: usize, f: impl Fn() -> E14Row) -> E14Row {
-    (0..reps.max(1))
-        .map(|_| f())
-        .max_by(|a, b| a.commits_per_sec.total_cmp(&b.commits_per_sec))
-        .expect("at least one rep")
+/// [`measure`] `cfg`, best of `reps` repetitions by commits/sec.
+fn best(reps: usize, cfg: RunCfg) -> Row {
+    best_of(reps, "commits_per_sec", &[], |_| measure(&cfg))
 }
 
 /// Run the full experiment. `smoke` shrinks the per-committer commit
 /// counts for CI; the gates are identical in both modes.
-pub fn run_e14(smoke: bool) -> E14Report {
+pub fn run(smoke: bool) -> Report {
     let per_thread: u64 = if smoke { 80 } else { 400 };
     // Five reps: every row feeds a ratio gate, and on a small CI box a
     // single descheduled rep on either side of a ratio is enough to
@@ -257,227 +214,124 @@ pub fn run_e14(smoke: bool) -> E14Report {
     // shard. Every row feeds a ratio gate, so each keeps its best of
     // three repetitions.
     for shards in [1u16, 2, 4] {
-        rows.push(best_of(REPS, || {
-            run(&RunCfg {
+        rows.push(best(
+            REPS,
+            RunCfg {
                 label: format!("scale-out @{shards} shards"),
                 shards,
                 with_map: true,
                 cross_every: None,
                 arbiter: None,
                 per_thread,
-            })
-        }));
+            },
+        ));
     }
 
     // --- Shard-map overhead on the single-shard fast path.
-    rows.push(best_of(REPS, || {
-        run(&RunCfg {
+    rows.push(best(
+        REPS,
+        RunCfg {
             label: "one shard, no shard map".into(),
             shards: 1,
             with_map: false,
             cross_every: None,
             arbiter: None,
             per_thread,
-        })
-    }));
+        },
+    ));
 
     // --- Cross-TC transactions: one in five spans two shards.
-    rows.push(best_of(REPS, || {
-        run(&RunCfg {
+    rows.push(best(
+        REPS,
+        RunCfg {
             label: "cross-TC 1-in-5 @4 shards".into(),
             shards: 4,
             with_map: true,
             cross_every: Some(5),
             arbiter: None,
             per_thread,
-        })
-    }));
+        },
+    ));
 
     // --- Shared log device: all four shard logs behind one arbiter.
-    rows.push(best_of(REPS, || {
-        run(&RunCfg {
+    rows.push(best(
+        REPS,
+        RunCfg {
             label: "shared device, serial forces @4 shards".into(),
             shards: 4,
             with_map: true,
             cross_every: None,
             arbiter: Some(ArbiterMode::Serial),
             per_thread,
-        })
-    }));
-    rows.push(best_of(REPS, || {
-        run(&RunCfg {
+        },
+    ));
+    rows.push(best(
+        REPS,
+        RunCfg {
             label: "shared device, coalescing arbiter @4 shards".into(),
             shards: 4,
             with_map: true,
             cross_every: None,
             arbiter: Some(ArbiterMode::Coalescing),
             per_thread,
-        })
-    }));
+        },
+    ));
 
     let gates = gates(&rows);
-    E14Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        per_thread,
+    Report {
+        params: Row::new()
+            .with("per_thread_commits", per_thread)
+            .with("force_latency_us", FORCE_LATENCY.as_micros() as u64)
+            .with("threads_per_shard", THREADS_PER_SHARD),
         rows,
         gates,
+        notes: Vec::new(),
     }
 }
 
-fn find<'a>(rows: &'a [E14Row], label: &str) -> &'a E14Row {
-    rows.iter()
-        .find(|r| r.label == label)
-        .unwrap_or_else(|| panic!("missing row {label}"))
-}
-
-fn gates(rows: &[E14Row]) -> Vec<E14Gate> {
-    let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E14Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
-    };
+fn gates(rows: &[Row]) -> Vec<Gate> {
+    let row = |label: &str| find(rows, &[("label", label.into())]);
+    let cps = |label: &str| row(label).num("commits_per_sec");
 
     // Scale-out: each shard brings its own log device, so commit
     // throughput must grow close to linearly with the shard count.
-    let s1 = find(rows, "scale-out @1 shards").commits_per_sec;
-    let s2 = find(rows, "scale-out @2 shards").commits_per_sec;
-    let s4 = find(rows, "scale-out @4 shards").commits_per_sec;
-    gate("sharded TC scale-out @2 shards vs 1".into(), s2 / s1, 1.7);
-    gate("sharded TC scale-out @4 shards vs 1".into(), s4 / s1, 3.0);
-
-    // The shard-map lookup rides every operation: the one-shard fast
-    // path must stay within 10% of the map-free deployment.
-    let nomap = find(rows, "one shard, no shard map").commits_per_sec;
-    gate(
-        "one-shard throughput with shard map vs without".into(),
-        s1 / nomap,
-        0.9,
-    );
-
-    // Cross-TC transactions pay two forced log rounds (Prepare +
-    // decision) on one in five commits; the blend must retain most of
-    // the partitioned throughput.
-    let cross = find(rows, "cross-TC 1-in-5 @4 shards");
-    gate(
-        "cross-TC blend (1-in-5) vs all-local @4 shards".into(),
-        cross.commits_per_sec / s4,
-        0.25,
-    );
-    gate(
-        "cross-TC transactions actually committed via 2PC".into(),
-        cross.cross_commits.min(cross.prepares) as f64,
-        1.0,
-    );
-
-    // Colocated logs: the coalescing arbiter shares device flushes
-    // across shards; the serial baseline queues one per log force.
-    let serial = find(rows, "shared device, serial forces @4 shards");
-    let coal = find(rows, "shared device, coalescing arbiter @4 shards");
-    gate(
-        "shared-device coalescing speedup over serial forces @4 shards".into(),
-        coal.commits_per_sec / serial.commits_per_sec,
-        1.2,
-    );
-    gates
-}
-
-impl E14Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e14_sharded_tc ({} mode, force latency {:?}, {} threads/shard, {} commits/thread)",
-            self.mode, FORCE_LATENCY, THREADS_PER_SHARD, self.per_thread
-        );
-        println!(
-            "{:<46} {:>7} {:>8} {:>12} {:>7} {:>9} {:>14}",
-            "config", "shards", "threads", "commits/s", "cross", "prepares", "dev_fl/commit"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<46} {:>7} {:>8} {:>12.0} {:>7} {:>9} {:>14.3}",
-                r.label,
-                r.shards,
-                r.threads,
-                r.commits_per_sec,
-                r.cross_commits,
-                r.prepares,
-                r.device_flushes_per_commit
-            );
-        }
-        for g in &self.gates {
-            println!(
-                "gate: {:<58} {:>8.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e14 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies:
-    /// labels are plain ASCII and every value is numeric).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e14_sharded_tc\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"per_thread_commits\": {},\n", self.per_thread));
-        s.push_str(&format!(
-            "  \"force_latency_us\": {},\n  \"threads_per_shard\": {},\n",
-            FORCE_LATENCY.as_micros(),
-            THREADS_PER_SHARD
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"shards\": {}, \"threads\": {}, \
-                 \"commits_per_sec\": {}, \"cross_commits\": {}, \"prepares\": {}, \
-                 \"device_flushes_per_commit\": {}}}{}\n",
-                r.label,
-                r.shards,
-                r.threads,
-                num(r.commits_per_sec),
-                r.cross_commits,
-                r.prepares,
-                num(r.device_flushes_per_commit),
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
+    let s1 = cps("scale-out @1 shards");
+    let s4 = cps("scale-out @4 shards");
+    let cross = row("cross-TC 1-in-5 @4 shards");
+    vec![
+        Gate::at_least(
+            "sharded TC scale-out @2 shards vs 1",
+            cps("scale-out @2 shards") / s1,
+            1.7,
+        ),
+        Gate::at_least("sharded TC scale-out @4 shards vs 1", s4 / s1, 3.0),
+        // The shard-map lookup rides every operation: the one-shard
+        // fast path must stay within 10% of the map-free deployment.
+        Gate::at_least(
+            "one-shard throughput with shard map vs without",
+            s1 / cps("one shard, no shard map"),
+            0.9,
+        ),
+        // Cross-TC transactions pay two forced log rounds (Prepare +
+        // decision) on one in five commits; the blend must retain most
+        // of the partitioned throughput.
+        Gate::at_least(
+            "cross-TC blend (1-in-5) vs all-local @4 shards",
+            cross.num("commits_per_sec") / s4,
+            0.25,
+        ),
+        Gate::at_least(
+            "cross-TC transactions actually committed via 2PC",
+            cross.num("cross_commits").min(cross.num("prepares")),
+            1.0,
+        ),
+        // Colocated logs: the coalescing arbiter shares device flushes
+        // across shards; the serial baseline queues one per log force.
+        Gate::at_least(
+            "shared-device coalescing speedup over serial forces @4 shards",
+            cps("shared device, coalescing arbiter @4 shards")
+                / cps("shared device, serial forces @4 shards"),
+            1.2,
+        ),
+    ]
 }

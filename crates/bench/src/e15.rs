@@ -1,10 +1,5 @@
-//! E15 harness: online TC rebalance (elastic split/merge) under an
-//! open-loop arrival-driven workload.
-//!
-//! Shared by `benches/e15_rebalance.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e15.json` telemetry), so the gate and the recorded trajectory
-//! can never drift apart.
+//! E15: online TC rebalance (elastic split/merge) under an open-loop
+//! arrival-driven workload.
 //!
 //! E14 measured what a *static* sharded TC tier buys; this experiment
 //! measures what an *elastic* one costs while it changes shape. Two TC
@@ -30,6 +25,7 @@
 //!   budget: the move shows up as a few milliseconds of fence stall on
 //!   the moving range, not as an outage.
 
+use crate::experiment::{best_of, find, Cmp, Gate, Report, Row};
 use crate::workload::{run_open_loop, ArrivalProcess, OpenLoopCfg};
 use crate::TABLE;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,70 +67,6 @@ const SLOTS: usize = 3;
 const MOVE_OUT_FRAC: f64 = 0.4;
 /// When it moves back.
 const MOVE_BACK_FRAC: f64 = 0.7;
-
-/// One measured cell.
-pub struct E15Row {
-    /// `steady` or `rebalance`.
-    pub label: String,
-    /// Arrivals in the schedule.
-    pub offered: u64,
-    /// Arrivals admitted and committed.
-    pub delivered: u64,
-    /// Arrivals shed at the bounded admission queue.
-    pub shed: u64,
-    /// Delivered commits per second of makespan.
-    pub delivered_per_sec: f64,
-    /// p50 of scheduled-arrival → commit-done latency (µs).
-    pub total_p50_us: f64,
-    /// p99 (µs).
-    pub total_p99_us: f64,
-    /// Max (µs).
-    pub total_max_us: f64,
-    /// `RebalanceDone` records forced across the tier (worst rep).
-    pub moves: u64,
-    /// Published map epoch at the end of the run (worst rep).
-    pub map_epoch: u64,
-    /// Every shard at the final epoch with no fence left (worst rep).
-    pub settled: bool,
-    /// Local ops that slept on a fence and re-resolved their owner.
-    pub fence_reroutes: u64,
-    /// Forwards re-routed after a stale-epoch rejection.
-    pub stale_forward_reroutes: u64,
-    /// Client-visible retries (op or commit failed, re-routed and
-    /// re-issued by the workload).
-    pub retries: u64,
-    /// Acknowledged writes whose value did not survive (worst rep; the
-    /// zero-lost-acks gate).
-    pub lost_acks: u64,
-    /// Wall time of the move out of TC1 (ms; 0 in the steady cell).
-    pub move_out_ms: f64,
-    /// Wall time of the move back (ms; 0 in the steady cell).
-    pub move_back_ms: f64,
-}
-
-/// One pass/fail regression gate.
-pub struct E15Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E15Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Measured arrival horizon per cell.
-    pub horizon_ms: u64,
-    /// All measured rows.
-    pub rows: Vec<E15Row>,
-    /// Regression gates over the rows.
-    pub gates: Vec<E15Gate>,
-}
 
 /// Two TC shards over two DCs, wired all-to-all with one *shared*
 /// partitioned table route: moving TC ownership of a key range never
@@ -192,7 +124,7 @@ fn slot_key(w: usize, slot: usize) -> Key {
     Key::from_u64(base + 1_000 + w as u64)
 }
 
-fn run_cell(rebalance: bool, seed: u64, horizon: Duration) -> E15Row {
+fn run_cell(rebalance: bool, seed: u64, horizon: Duration) -> Row {
     let d = elastic_deployment();
     // Preload every slot key through its owner (latency-free), then
     // charge the device latency for the measured phase.
@@ -318,51 +250,53 @@ fn run_cell(rebalance: bool, seed: u64, horizon: Duration) -> E15Row {
         stale_forward_reroutes += snap.stale_forward_reroutes;
     }
     let us = |d: Duration| d.as_secs_f64() * 1e6;
-    E15Row {
-        label: if rebalance { "rebalance" } else { "steady" }.to_string(),
-        offered: r.offered,
-        delivered: r.delivered,
-        shed: r.shed,
-        delivered_per_sec: r.delivered_per_sec(),
-        total_p50_us: us(r.total.p50()),
-        total_p99_us: us(r.total.p99()),
-        total_max_us: us(r.total.max()),
-        moves,
-        map_epoch,
-        settled,
-        fence_reroutes,
-        stale_forward_reroutes,
-        retries: retries.load(Ordering::Relaxed),
-        lost_acks,
-        move_out_ms,
-        move_back_ms,
-    }
+    Row::new()
+        // `steady` or `rebalance`.
+        .with("label", if rebalance { "rebalance" } else { "steady" })
+        // Arrivals in the schedule, admitted and committed, and shed at
+        // the bounded admission queue.
+        .with("offered", r.offered)
+        .with("delivered", r.delivered)
+        .with("shed", r.shed)
+        // Delivered commits per second of makespan.
+        .with("delivered_per_sec", r.delivered_per_sec())
+        // Scheduled-arrival → commit-done latency (µs).
+        .with("total_p50_us", us(r.total.p50()))
+        .with("total_p99_us", us(r.total.p99()))
+        .with("total_max_us", us(r.total.max()))
+        // `RebalanceDone` records forced across the tier.
+        .with("moves", moves)
+        // Published map epoch at the end of the run.
+        .with("map_epoch", map_epoch)
+        // Every shard at the final epoch with no fence left.
+        .with("settled", settled)
+        // Local ops that slept on a fence and re-resolved their owner.
+        .with("fence_reroutes", fence_reroutes)
+        // Forwards re-routed after a stale-epoch rejection.
+        .with("stale_forward_reroutes", stale_forward_reroutes)
+        // Client-visible retries (op or commit failed, re-routed and
+        // re-issued by the workload).
+        .with("retries", retries.load(Ordering::Relaxed))
+        // Acknowledged writes whose value did not survive (the
+        // zero-lost-acks gate).
+        .with("lost_acks", lost_acks)
+        // Wall time of the move out of TC1 and of the move back (ms; 0
+        // in the steady cell).
+        .with("move_out_ms", move_out_ms)
+        .with("move_back_ms", move_back_ms)
 }
 
-/// Best of `reps` repetitions by delivered throughput — except the
-/// correctness fields (`lost_acks`, `moves`, `map_epoch`, `settled`),
-/// which take their *worst* rep: CI wall-clock noise is one-sided, but
-/// a lost ack or an unfinished move in any rep is a bug, not noise.
-fn best_of(reps: usize, f: impl Fn(u64) -> E15Row) -> E15Row {
-    let rows: Vec<E15Row> = (0..reps.max(1) as u64).map(f).collect();
-    let lost_acks = rows.iter().map(|r| r.lost_acks).max().unwrap_or(0);
-    let moves = rows.iter().map(|r| r.moves).min().unwrap_or(0);
-    let map_epoch = rows.iter().map(|r| r.map_epoch).min().unwrap_or(0);
-    let settled = rows.iter().all(|r| r.settled);
-    let mut best = rows
-        .into_iter()
-        .max_by(|a, b| a.delivered_per_sec.total_cmp(&b.delivered_per_sec))
-        .expect("at least one rep");
-    best.lost_acks = lost_acks;
-    best.moves = moves;
-    best.map_epoch = map_epoch;
-    best.settled = settled;
-    best
-}
+/// The correctness fields that take their *worst* rep in [`best_of`].
+const WORST: [(&str, Cmp); 4] = [
+    ("lost_acks", Cmp::AtMost),
+    ("moves", Cmp::AtLeast),
+    ("map_epoch", Cmp::AtLeast),
+    ("settled", Cmp::AtLeast),
+];
 
 /// Run the full experiment. `smoke` shrinks the horizon for CI; the
 /// gates are identical in both modes.
-pub fn run_e15(smoke: bool) -> E15Report {
+pub fn run(smoke: bool) -> Report {
     let horizon = if smoke {
         Duration::from_millis(1200)
     } else {
@@ -371,213 +305,68 @@ pub fn run_e15(smoke: bool) -> E15Report {
     let seed = 0xE15_0001u64;
     const REPS: usize = 2;
     let rows = vec![
-        best_of(REPS, |rep| run_cell(false, seed + rep, horizon)),
-        best_of(REPS, |rep| run_cell(true, seed + rep, horizon)),
+        best_of(REPS, "delivered_per_sec", &WORST, |rep| {
+            run_cell(false, seed + rep, horizon)
+        }),
+        best_of(REPS, "delivered_per_sec", &WORST, |rep| {
+            run_cell(true, seed + rep, horizon)
+        }),
     ];
     let gates = gates(&rows);
-    E15Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        horizon_ms: horizon.as_millis() as u64,
+    Report {
+        params: Row::new()
+            .with("horizon_ms", horizon.as_millis() as u64)
+            .with("force_latency_us", FORCE_LATENCY.as_micros() as u64)
+            .with("workers", WORKERS)
+            .with("arrival_rate", ARRIVAL_RATE)
+            .with(
+                "disturbance_budget_us",
+                DISTURBANCE_BUDGET.as_micros() as u64,
+            ),
         rows,
         gates,
+        notes: Vec::new(),
     }
 }
 
-fn find<'a>(rows: &'a [E15Row], label: &str) -> &'a E15Row {
-    rows.iter()
-        .find(|r| r.label == label)
-        .unwrap_or_else(|| panic!("missing row {label}"))
-}
-
-fn gates(rows: &[E15Row]) -> Vec<E15Gate> {
-    let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E15Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
-    };
-    let steady = find(rows, "steady");
-    let moved = find(rows, "rebalance");
-
-    // An elastic move must never lose an acknowledged write (checked
-    // worst-rep: any rep losing one fails).
-    gate(
-        "rebalance: zero acknowledged writes lost".into(),
-        if moved.lost_acks == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    // Both moves completed online: two RebalanceDone records...
-    gate(
-        "rebalance: both range moves completed (RebalanceDone count)".into(),
-        moved.moves as f64,
-        2.0,
-    );
-    // ...and the tier settled: epoch-2 map on every shard, no fence.
-    gate(
-        "rebalance: map settled at epoch 2 on every shard, fences clear".into(),
-        if moved.settled && moved.map_epoch == 2 {
-            1.0
-        } else {
-            0.0
-        },
-        1.0,
-    );
-    // The arrival stream is sub-capacity: nothing sheds, move or not.
-    gate(
-        "no arrivals shed (steady and rebalance cells)".into(),
-        if steady.shed == 0 && moved.shed == 0 {
-            1.0
-        } else {
-            0.0
-        },
-        1.0,
-    );
-    // The move costs a bounded throughput dip, not an outage.
-    gate(
-        "rebalance: delivered throughput vs steady".into(),
-        moved.delivered_per_sec / steady.delivered_per_sec.max(f64::EPSILON),
-        0.8,
-    );
-    // And a bounded worst-case wait: fence stalls and re-routes are
-    // milliseconds, far inside the wide absolute budget.
-    gate(
-        "rebalance: worst arrival latency within disturbance budget".into(),
-        DISTURBANCE_BUDGET.as_secs_f64() * 1e6 / moved.total_max_us.max(f64::EPSILON),
-        1.0,
-    );
-    gates
-}
-
-impl E15Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e15_rebalance ({} mode, force latency {:?}, {} workers, {:.0}/s offered, horizon {} ms)",
-            self.mode, FORCE_LATENCY, WORKERS, ARRIVAL_RATE, self.horizon_ms
-        );
-        println!(
-            "{:<10} {:>8} {:>9} {:>5} {:>11} {:>9} {:>9} {:>10} {:>6} {:>6} {:>8} {:>8} {:>9} {:>9}",
-            "cell",
-            "offered",
-            "delivered",
-            "shed",
-            "delivered/s",
-            "p50_us",
-            "p99_us",
-            "max_us",
-            "moves",
-            "lost",
-            "reroute",
-            "retries",
-            "out_ms",
-            "back_ms"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<10} {:>8} {:>9} {:>5} {:>11.0} {:>9.0} {:>9.0} {:>10.0} {:>6} {:>6} {:>8} {:>8} {:>9.1} {:>9.1}",
-                r.label,
-                r.offered,
-                r.delivered,
-                r.shed,
-                r.delivered_per_sec,
-                r.total_p50_us,
-                r.total_p99_us,
-                r.total_max_us,
-                r.moves,
-                r.lost_acks,
-                r.fence_reroutes + r.stale_forward_reroutes,
-                r.retries,
-                r.move_out_ms,
-                r.move_back_ms
-            );
-        }
-        for g in &self.gates {
-            println!(
-                "gate: {:<60} {:>8.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e15 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies:
-    /// labels are plain ASCII and every value is numeric or boolean).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e15_rebalance\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"horizon_ms\": {},\n", self.horizon_ms));
-        s.push_str(&format!(
-            "  \"force_latency_us\": {},\n  \"workers\": {},\n  \"arrival_rate\": {},\n  \"disturbance_budget_us\": {},\n",
-            FORCE_LATENCY.as_micros(),
-            WORKERS,
-            ARRIVAL_RATE,
-            DISTURBANCE_BUDGET.as_micros()
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"offered\": {}, \"delivered\": {}, \"shed\": {}, \
-                 \"delivered_per_sec\": {}, \"total_p50_us\": {}, \"total_p99_us\": {}, \
-                 \"total_max_us\": {}, \"moves\": {}, \"map_epoch\": {}, \"settled\": {}, \
-                 \"fence_reroutes\": {}, \"stale_forward_reroutes\": {}, \"retries\": {}, \
-                 \"lost_acks\": {}, \"move_out_ms\": {}, \"move_back_ms\": {}}}{}\n",
-                r.label,
-                r.offered,
-                r.delivered,
-                r.shed,
-                num(r.delivered_per_sec),
-                num(r.total_p50_us),
-                num(r.total_p99_us),
-                num(r.total_max_us),
-                r.moves,
-                r.map_epoch,
-                r.settled,
-                r.fence_reroutes,
-                r.stale_forward_reroutes,
-                r.retries,
-                r.lost_acks,
-                num(r.move_out_ms),
-                num(r.move_back_ms),
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
+fn gates(rows: &[Row]) -> Vec<Gate> {
+    let steady = find(rows, &[("label", "steady".into())]);
+    let moved = find(rows, &[("label", "rebalance".into())]);
+    vec![
+        // An elastic move must never lose an acknowledged write
+        // (checked worst-rep: any rep losing one fails).
+        Gate::holds(
+            "rebalance: zero acknowledged writes lost",
+            moved.num("lost_acks") == 0.0,
+        ),
+        // Both moves completed online: two RebalanceDone records...
+        Gate::at_least(
+            "rebalance: both range moves completed (RebalanceDone count)",
+            moved.num("moves"),
+            2.0,
+        ),
+        // ...and the tier settled: epoch-2 map on every shard, no fence.
+        Gate::holds(
+            "rebalance: map settled at epoch 2 on every shard, fences clear",
+            moved.num("settled") == 1.0 && moved.num("map_epoch") == 2.0,
+        ),
+        // The arrival stream is sub-capacity: nothing sheds, move or not.
+        Gate::holds(
+            "no arrivals shed (steady and rebalance cells)",
+            steady.num("shed") == 0.0 && moved.num("shed") == 0.0,
+        ),
+        // The move costs a bounded throughput dip, not an outage.
+        Gate::at_least(
+            "rebalance: delivered throughput vs steady",
+            moved.num("delivered_per_sec") / steady.num("delivered_per_sec").max(f64::EPSILON),
+            0.8,
+        ),
+        // And a bounded worst-case wait: fence stalls and re-routes are
+        // milliseconds, far inside the wide absolute budget.
+        Gate::at_least(
+            "rebalance: worst arrival latency within disturbance budget",
+            DISTURBANCE_BUDGET.as_secs_f64() * 1e6 / moved.num("total_max_us").max(f64::EPSILON),
+            1.0,
+        ),
+    ]
 }

@@ -1,10 +1,6 @@
-//! E16 harness: MVCC snapshot reads vs locking reads under a
-//! contending writer, plus version-chain garbage collection across
-//! truncating checkpoints.
-//!
-//! Shared by `benches/e16_mvcc_reads.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e16.json` telemetry).
+//! E16: MVCC snapshot reads vs locking reads under a contending
+//! writer, plus version-chain garbage collection across truncating
+//! checkpoints.
 //!
 //! One writer keeps committing a transaction that updates *every* hot
 //! key (holding all their X locks across the simulated log-device
@@ -28,6 +24,7 @@
 //!   chain pruning, so retained history stays bounded across at least
 //!   12 truncating checkpoints.
 
+use crate::experiment::{Gate, Report, Row};
 use crate::TABLE;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,56 +47,6 @@ const KEYS: u64 = 16;
 
 /// Reader threads per measured phase.
 const READERS: usize = 8;
-
-/// One measured read phase (locking or snapshot).
-pub struct E16Row {
-    /// Configuration label.
-    pub label: String,
-    /// Aggregate committed reads per second.
-    pub reads_per_sec: f64,
-    /// Reads issued across all reader threads.
-    pub reads: u64,
-    /// Lock-manager waits incurred during the phase (readers + writer).
-    pub lock_waits: u64,
-    /// Writer transactions committed during the phase.
-    pub commits: u64,
-    /// DC-side snapshot reads served during the phase.
-    pub snapshot_reads: u64,
-}
-
-/// One pass/fail regression gate.
-pub struct E16Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E16Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Reads per reader thread.
-    pub per_reader: u64,
-    /// The locking and snapshot phases.
-    pub rows: Vec<E16Row>,
-    /// Pinned-snapshot transactions driven through the write storm.
-    pub si_rounds: u64,
-    /// Torn or unrepeatable pinned reads (must be zero).
-    pub si_violations: u64,
-    /// Truncating checkpoints driven in the GC phase.
-    pub checkpoints: u64,
-    /// Largest post-checkpoint version-chain entry count.
-    pub max_chain_entries: usize,
-    /// Version-chain entries after the final checkpoint.
-    pub final_chain_entries: usize,
-    /// Regression gates.
-    pub gates: Vec<E16Gate>,
-}
 
 /// One TC over one B-tree DC, inline links (deterministic): all
 /// contention in this experiment comes from record locks held across
@@ -175,7 +122,7 @@ fn run_read_phase(
     label: &str,
     consistency: ReadConsistency,
     per_reader: u64,
-) -> E16Row {
+) -> Row {
     let tc = d.tc(TcId(1));
     let stop = Arc::new(AtomicBool::new(false));
     let commits = Arc::new(AtomicU64::new(0));
@@ -207,14 +154,22 @@ fn run_read_phase(
     let (_, waits_after, _, _) = tc.lock_manager().stats().snapshot();
 
     let reads = READERS as u64 * per_reader;
-    E16Row {
-        label: label.to_string(),
-        reads_per_sec: reads as f64 / wall.as_secs_f64(),
-        reads,
-        lock_waits: waits_after - waits_before,
-        commits: commits.load(Ordering::Relaxed),
-        snapshot_reads: stats_after.snapshot_reads - stats_before.snapshot_reads,
-    }
+    Row::new()
+        .with("label", label)
+        // Aggregate committed reads per second.
+        .with("reads_per_sec", reads as f64 / wall.as_secs_f64())
+        // Reads issued across all reader threads.
+        .with("reads", reads)
+        // Lock-manager waits incurred during the phase (readers +
+        // writer).
+        .with("lock_waits", waits_after - waits_before)
+        // Writer transactions committed during the phase.
+        .with("commits", commits.load(Ordering::Relaxed))
+        // DC-side snapshot reads served during the phase.
+        .with(
+            "snapshot_reads",
+            stats_after.snapshot_reads - stats_before.snapshot_reads,
+        )
 }
 
 /// Drive pinned-snapshot transactions through the write storm: each
@@ -289,7 +244,7 @@ fn run_gc_phase(d: &Arc<Deployment>, checkpoints: u64) -> (usize, usize) {
 
 /// Run the full experiment. `smoke` shrinks the workload for CI; the
 /// gates are identical in both modes.
-pub fn run_e16(smoke: bool) -> E16Report {
+pub fn run(smoke: bool) -> Report {
     let per_reader: u64 = if smoke { 300 } else { 2000 };
     let si_rounds: u64 = if smoke { 40 } else { 200 };
     let checkpoints: u64 = if smoke { 12 } else { 16 };
@@ -315,175 +270,48 @@ pub fn run_e16(smoke: bool) -> E16Report {
     let (max_chain_entries, final_chain_entries) = run_gc_phase(&d, checkpoints);
     d.tc_log(TcId(1)).set_force_latency(Duration::ZERO);
 
-    let gates = gates(
-        &locking,
-        &snapshot,
-        si_violations,
-        checkpoints,
-        max_chain_entries,
-    );
-    E16Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        per_reader,
+    let gates = vec![
+        Gate::at_least(
+            "snapshot-read throughput vs locking under a contending writer",
+            snapshot.num("reads_per_sec") / locking.num("reads_per_sec"),
+            2.0,
+        ),
+        Gate::holds(
+            "zero lock waits on the snapshot read path",
+            snapshot.num("lock_waits") == 0.0,
+        ),
+        Gate::at_least(
+            "snapshot phase served from MVCC chains (snapshot-read share)",
+            snapshot.num("snapshot_reads") / snapshot.num("reads").max(1.0),
+            1.0,
+        ),
+        Gate::holds(
+            "zero snapshot-isolation violations (torn/unrepeatable reads)",
+            si_violations == 0,
+        ),
+        Gate::holds(
+            format!("version memory bounded across {checkpoints} truncating checkpoints"),
+            checkpoints >= 12 && max_chain_entries <= KEYS as usize,
+        ),
+    ];
+    Report {
+        params: Row::new()
+            .with("per_reader_reads", per_reader)
+            .with("force_latency_us", FORCE_LATENCY.as_micros() as u64)
+            .with("hot_keys", KEYS)
+            .with("readers", READERS)
+            // Pinned-snapshot transactions driven through the write
+            // storm, and torn or unrepeatable pinned reads among them.
+            .with("si_rounds", si_rounds)
+            .with("si_violations", si_violations)
+            // Truncating checkpoints driven in the GC phase; the
+            // largest post-checkpoint and the final version-chain
+            // entry counts.
+            .with("checkpoints", checkpoints)
+            .with("max_chain_entries", max_chain_entries)
+            .with("final_chain_entries", final_chain_entries),
         rows: vec![locking, snapshot],
-        si_rounds,
-        si_violations,
-        checkpoints,
-        max_chain_entries,
-        final_chain_entries,
         gates,
-    }
-}
-
-fn gates(
-    locking: &E16Row,
-    snapshot: &E16Row,
-    si_violations: u64,
-    checkpoints: u64,
-    max_chain_entries: usize,
-) -> Vec<E16Gate> {
-    let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E16Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
-    };
-    gate(
-        "snapshot-read throughput vs locking under a contending writer".into(),
-        snapshot.reads_per_sec / locking.reads_per_sec,
-        2.0,
-    );
-    gate(
-        "zero lock waits on the snapshot read path".into(),
-        if snapshot.lock_waits == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    gate(
-        "snapshot phase served from MVCC chains (snapshot-read share)".into(),
-        snapshot.snapshot_reads as f64 / snapshot.reads.max(1) as f64,
-        1.0,
-    );
-    gate(
-        "zero snapshot-isolation violations (torn/unrepeatable reads)".into(),
-        if si_violations == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    gate(
-        format!("version memory bounded across {checkpoints} truncating checkpoints"),
-        if checkpoints >= 12 && max_chain_entries <= KEYS as usize {
-            1.0
-        } else {
-            0.0
-        },
-        1.0,
-    );
-    gates
-}
-
-impl E16Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e16_mvcc_reads ({} mode, force latency {:?}, {} readers × {} reads, {} hot keys)",
-            self.mode, FORCE_LATENCY, READERS, self.per_reader, KEYS
-        );
-        println!(
-            "{:<28} {:>12} {:>9} {:>11} {:>9} {:>15}",
-            "phase", "reads/s", "reads", "lock_waits", "commits", "snapshot_reads"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<28} {:>12.0} {:>9} {:>11} {:>9} {:>15}",
-                r.label, r.reads_per_sec, r.reads, r.lock_waits, r.commits, r.snapshot_reads
-            );
-        }
-        println!(
-            "snapshot isolation: {} pinned rounds, {} violations",
-            self.si_rounds, self.si_violations
-        );
-        println!(
-            "version GC: {} truncating checkpoints, max {} / final {} retained chain entries",
-            self.checkpoints, self.max_chain_entries, self.final_chain_entries
-        );
-        for g in &self.gates {
-            println!(
-                "gate: {:<60} {:>6.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e16 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e16_mvcc_reads\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"per_reader_reads\": {},\n", self.per_reader));
-        s.push_str(&format!(
-            "  \"force_latency_us\": {},\n  \"hot_keys\": {},\n  \"readers\": {},\n",
-            FORCE_LATENCY.as_micros(),
-            KEYS,
-            READERS
-        ));
-        s.push_str(&format!(
-            "  \"si_rounds\": {},\n  \"si_violations\": {},\n",
-            self.si_rounds, self.si_violations
-        ));
-        s.push_str(&format!(
-            "  \"checkpoints\": {},\n  \"max_chain_entries\": {},\n  \"final_chain_entries\": {},\n",
-            self.checkpoints, self.max_chain_entries, self.final_chain_entries
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"reads_per_sec\": {}, \"reads\": {}, \
-                 \"lock_waits\": {}, \"commits\": {}, \"snapshot_reads\": {}}}{}\n",
-                r.label,
-                num(r.reads_per_sec),
-                r.reads,
-                r.lock_waits,
-                r.commits,
-                r.snapshot_reads,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        notes: Vec::new(),
     }
 }

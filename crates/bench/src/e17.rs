@@ -1,9 +1,4 @@
-//! E17 harness: the shard autopilot against a ramp it must outrun.
-//!
-//! Shared by `benches/e17_autopilot.rs` (the CI regression gate) and
-//! `src/bin/report.rs` (which serializes the same rows as
-//! `BENCH_e17.json` telemetry), so the gate and the recorded trajectory
-//! can never drift apart.
+//! E17: the shard autopilot against a ramp it must outrun.
 //!
 //! E15 proved a single online range move is cheap; this experiment asks
 //! whether the *policy* can decide to make one — unprompted, from
@@ -36,6 +31,7 @@
 //!   [`P99_BAND`]; the static cell breaches it. The band is the point:
 //!   the policy alone separates the two cells.
 
+use crate::experiment::{best_of, find, Cmp, Gate, Report, Row};
 use crate::workload::{run_open_loop, ArrivalProcess, OpenLoopCfg};
 use crate::TABLE;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,7 +80,7 @@ const EIGHTH: u64 = u64::MAX / 8;
 const SLOTS: usize = 8;
 
 /// The autopilot configuration under test (also what the docs quote).
-pub fn policy_cfg() -> RebalanceCfg {
+fn policy_cfg() -> RebalanceCfg {
     RebalanceCfg {
         interval: Duration::from_millis(25),
         split_rate: 3_500.0,
@@ -93,71 +89,6 @@ pub fn policy_cfg() -> RebalanceCfg {
         cooldown: Duration::from_millis(400),
         min_samples: 64,
     }
-}
-
-/// One measured cell.
-pub struct E17Row {
-    /// `static` or `policy`.
-    pub label: String,
-    /// Arrivals in the schedule.
-    pub offered: u64,
-    /// Arrivals admitted and committed.
-    pub delivered: u64,
-    /// Arrivals shed at the bounded admission queue.
-    pub shed: u64,
-    /// Delivered commits per second of makespan.
-    pub delivered_per_sec: f64,
-    /// p50 of scheduled-arrival → commit-done latency (µs).
-    pub total_p50_us: f64,
-    /// p99 (µs) — the banded number.
-    pub total_p99_us: f64,
-    /// Max (µs).
-    pub total_max_us: f64,
-    /// Completed autopilot splits (worst rep).
-    pub splits: u64,
-    /// Completed autopilot merges (worst rep).
-    pub merges: u64,
-    /// Cooldown-window violations across the move log (worst rep).
-    pub violations: u64,
-    /// Published map epoch at the end of the run (worst rep).
-    pub map_epoch: u64,
-    /// Every shard at the final epoch with no fence left (worst rep).
-    pub settled: bool,
-    /// Acknowledged writes whose value did not survive (worst rep).
-    pub lost_acks: u64,
-    /// Client-visible retries (re-routed and re-issued).
-    pub retries: u64,
-    /// When the first autopilot split completed (ms from policy start;
-    /// 0 when no split ran).
-    pub first_split_ms: f64,
-    /// Shards the policy considered for a move (telemetry, policy cell).
-    pub considered: u64,
-    /// Moves skipped inside a cooldown window (telemetry).
-    pub cooldown_skips: u64,
-}
-
-/// One pass/fail regression gate.
-pub struct E17Gate {
-    /// What the gate checks.
-    pub name: String,
-    /// Measured value.
-    pub value: f64,
-    /// Minimum acceptable value.
-    pub threshold: f64,
-    /// Whether the gate held.
-    pub pass: bool,
-}
-
-/// The full experiment output.
-pub struct E17Report {
-    /// `smoke` (CI) or `full`.
-    pub mode: String,
-    /// Measured arrival horizon per cell.
-    pub horizon_ms: u64,
-    /// All measured rows.
-    pub rows: Vec<E17Row>,
-    /// Regression gates over the rows.
-    pub gates: Vec<E17Gate>,
 }
 
 /// Two TC shards over two DCs (the e15 elastic topology), but the shard
@@ -208,7 +139,7 @@ fn slot_key(w: usize, slot: usize) -> Key {
     Key::from_u64(base + 1_000 + w as u64)
 }
 
-fn run_cell(policy: bool, seed: u64, horizon: Duration) -> E17Row {
+fn run_cell(policy: bool, seed: u64, horizon: Duration) -> Row {
     let d = Arc::new(autopilot_deployment());
     for w in 0..WORKERS {
         for slot in 0..SLOTS {
@@ -313,52 +244,56 @@ fn run_cell(policy: bool, seed: u64, horizon: Duration) -> E17Row {
         .map(|m| m.since_start.as_secs_f64() * 1e3)
         .unwrap_or(0.0);
     let us = |d: Duration| d.as_secs_f64() * 1e6;
-    E17Row {
-        label: if policy { "policy" } else { "static" }.to_string(),
-        offered: r.offered,
-        delivered: r.delivered,
-        shed: r.shed,
-        delivered_per_sec: r.delivered_per_sec(),
-        total_p50_us: us(r.total.p50()),
-        total_p99_us: us(r.total.p99()),
-        total_max_us: us(r.total.max()),
-        splits,
-        merges,
-        violations,
-        map_epoch,
-        settled,
-        lost_acks,
-        retries: retries.load(Ordering::Relaxed),
-        first_split_ms,
-        considered,
-        cooldown_skips,
-    }
+    Row::new()
+        // `static` or `policy`.
+        .with("label", if policy { "policy" } else { "static" })
+        // Arrivals in the schedule, admitted and committed, and shed at
+        // the bounded admission queue.
+        .with("offered", r.offered)
+        .with("delivered", r.delivered)
+        .with("shed", r.shed)
+        // Delivered commits per second of makespan.
+        .with("delivered_per_sec", r.delivered_per_sec())
+        // Scheduled-arrival → commit-done latency (µs); p99 is the
+        // banded number.
+        .with("total_p50_us", us(r.total.p50()))
+        .with("total_p99_us", us(r.total.p99()))
+        .with("total_max_us", us(r.total.max()))
+        // Completed autopilot splits and merges.
+        .with("splits", splits)
+        .with("merges", merges)
+        // Cooldown-window violations across the move log.
+        .with("violations", violations)
+        // Published map epoch at the end of the run.
+        .with("map_epoch", map_epoch)
+        // Every shard at the final epoch with no fence left.
+        .with("settled", settled)
+        // Acknowledged writes whose value did not survive.
+        .with("lost_acks", lost_acks)
+        // Client-visible retries (re-routed and re-issued).
+        .with("retries", retries.load(Ordering::Relaxed))
+        // When the first autopilot split completed (ms from policy
+        // start; 0 when no split ran).
+        .with("first_split_ms", first_split_ms)
+        // Shards the policy considered for a move, and moves skipped
+        // inside a cooldown window (telemetry, policy cell).
+        .with("considered", considered)
+        .with("cooldown_skips", cooldown_skips)
 }
 
-/// Best of `reps` repetitions by delivered throughput — except the
-/// correctness fields, which take their *worst* rep: wall-clock noise
-/// is one-sided, but a lost ack, a missing split, a thrashing move log
-/// or an unsettled map in any rep is a bug, not noise.
-fn best_of(reps: usize, f: impl Fn(u64) -> E17Row) -> E17Row {
-    let rows: Vec<E17Row> = (0..reps.max(1) as u64).map(f).collect();
-    let lost_acks = rows.iter().map(|r| r.lost_acks).max().unwrap_or(0);
-    let splits = rows.iter().map(|r| r.splits).min().unwrap_or(0);
-    let violations = rows.iter().map(|r| r.violations).max().unwrap_or(0);
-    let settled = rows.iter().all(|r| r.settled);
-    let mut best = rows
-        .into_iter()
-        .max_by(|a, b| a.delivered_per_sec.total_cmp(&b.delivered_per_sec))
-        .expect("at least one rep");
-    best.lost_acks = lost_acks;
-    best.splits = splits;
-    best.violations = violations;
-    best.settled = settled;
-    best
-}
+/// The correctness fields that take their *worst* rep in [`best_of`]:
+/// a lost ack, a missing split, a thrashing move log or an unsettled
+/// map in any rep is a bug, not noise.
+const WORST: [(&str, Cmp); 4] = [
+    ("lost_acks", Cmp::AtMost),
+    ("splits", Cmp::AtLeast),
+    ("violations", Cmp::AtMost),
+    ("settled", Cmp::AtLeast),
+];
 
 /// Run the full experiment. `smoke` shrinks the horizon for CI; the
 /// gates are identical in both modes.
-pub fn run_e17(smoke: bool) -> E17Report {
+pub fn run(smoke: bool) -> Report {
     let horizon = if smoke {
         Duration::from_millis(1500)
     } else {
@@ -367,215 +302,75 @@ pub fn run_e17(smoke: bool) -> E17Report {
     let seed = 0xE17_0001u64;
     const REPS: usize = 2;
     let rows = vec![
-        best_of(REPS, |rep| run_cell(false, seed + rep, horizon)),
-        best_of(REPS, |rep| run_cell(true, seed + rep, horizon)),
+        best_of(REPS, "delivered_per_sec", &WORST, |rep| {
+            run_cell(false, seed + rep, horizon)
+        }),
+        best_of(REPS, "delivered_per_sec", &WORST, |rep| {
+            run_cell(true, seed + rep, horizon)
+        }),
     ];
     let gates = gates(&rows);
-    E17Report {
-        mode: if smoke { "smoke" } else { "full" }.to_string(),
-        horizon_ms: horizon.as_millis() as u64,
+    Report {
+        params: Row::new()
+            .with("horizon_ms", horizon.as_millis() as u64)
+            .with("force_latency_us", FORCE_LATENCY.as_micros() as u64)
+            .with("workers", WORKERS)
+            .with("max_waiters", MAX_WAITERS)
+            .with("ramp_start", RAMP_START)
+            .with("ramp_end", RAMP_END)
+            .with("p99_band_us", P99_BAND.as_micros() as u64),
         rows,
         gates,
+        notes: Vec::new(),
     }
 }
 
-fn find<'a>(rows: &'a [E17Row], label: &str) -> &'a E17Row {
-    rows.iter()
-        .find(|r| r.label == label)
-        .unwrap_or_else(|| panic!("missing row {label}"))
-}
-
-fn gates(rows: &[E17Row]) -> Vec<E17Gate> {
-    let mut gates = Vec::new();
-    let mut gate = |name: String, value: f64, threshold: f64| {
-        gates.push(E17Gate {
-            name,
-            value,
-            threshold,
-            pass: value >= threshold,
-        });
-    };
-    let fixed = find(rows, "static");
-    let auto = find(rows, "policy");
+fn gates(rows: &[Row]) -> Vec<Gate> {
+    let fixed = find(rows, &[("label", "static".into())]);
+    let auto = find(rows, &[("label", "policy".into())]);
     let band_us = P99_BAND.as_secs_f64() * 1e6;
-
-    // Policy-initiated moves never lose an acknowledged write.
-    gate(
-        "policy: zero acknowledged writes lost".into(),
-        if auto.lost_acks == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    // The autopilot acted: at least one completed split, every rep.
-    gate(
-        "policy: at least one completed autopilot split".into(),
-        auto.splits as f64,
-        1.0,
-    );
-    // And left the tier settled: every shard at the final epoch, no
-    // fence behind.
-    gate(
-        "policy: map settled on every shard, fences clear".into(),
-        if auto.settled { 1.0 } else { 0.0 },
-        1.0,
-    );
-    // No thrash: a range moves at most once per cooldown window.
-    gate(
-        "policy: no range moved twice within one cooldown window".into(),
-        if auto.violations == 0 { 1.0 } else { 0.0 },
-        1.0,
-    );
-    // The band separation — the policy cell holds p99 inside the band…
-    gate(
-        "policy: arrival→commit p99 inside the band".into(),
-        band_us / auto.total_p99_us.max(f64::EPSILON),
-        1.0,
-    );
-    // …that the static map breaches on the same ramp.
-    gate(
-        "static: arrival→commit p99 breaches the band".into(),
-        fixed.total_p99_us / band_us,
-        1.0,
-    );
-    // The split buys real capacity: the policy cell delivers at least
-    // what the saturating static cell manages.
-    gate(
-        "policy: delivered throughput vs static".into(),
-        auto.delivered_per_sec / fixed.delivered_per_sec.max(f64::EPSILON),
-        1.0,
-    );
-    gates
-}
-
-impl E17Report {
-    /// Print the rows and gates as the bench's human-readable table.
-    pub fn print(&self) {
-        println!(
-            "e17_autopilot ({} mode, force latency {:?}, {} workers, max_waiters {}, ramp {:.0}→{:.0}/s, horizon {} ms, band {:?})",
-            self.mode, FORCE_LATENCY, WORKERS, MAX_WAITERS, RAMP_START, RAMP_END, self.horizon_ms, P99_BAND
-        );
-        println!(
-            "{:<8} {:>8} {:>9} {:>6} {:>11} {:>9} {:>9} {:>10} {:>6} {:>6} {:>5} {:>6} {:>8} {:>10}",
-            "cell",
-            "offered",
-            "delivered",
-            "shed",
-            "delivered/s",
-            "p50_us",
-            "p99_us",
-            "max_us",
-            "splits",
-            "viol",
-            "lost",
-            "epoch",
-            "retries",
-            "1st_split"
-        );
-        for r in &self.rows {
-            println!(
-                "{:<8} {:>8} {:>9} {:>6} {:>11.0} {:>9.0} {:>9.0} {:>10.0} {:>6} {:>6} {:>5} {:>6} {:>8} {:>8.0}ms",
-                r.label,
-                r.offered,
-                r.delivered,
-                r.shed,
-                r.delivered_per_sec,
-                r.total_p50_us,
-                r.total_p99_us,
-                r.total_max_us,
-                r.splits,
-                r.violations,
-                r.lost_acks,
-                r.map_epoch,
-                r.retries,
-                r.first_split_ms
-            );
-        }
-        for g in &self.gates {
-            println!(
-                "gate: {:<60} {:>8.2} (>= {:.2}) — {}",
-                g.name,
-                g.value,
-                g.threshold,
-                if g.pass { "OK" } else { "FAIL" }
-            );
-        }
-    }
-
-    /// Panic if any regression gate failed (the CI bar).
-    pub fn assert_gates(&self) {
-        for g in &self.gates {
-            assert!(
-                g.pass,
-                "e17 gate failed: {} — measured {:.3}, need >= {:.3}",
-                g.name, g.value, g.threshold
-            );
-        }
-    }
-
-    /// Serialize the whole report as JSON (no external dependencies:
-    /// labels are plain ASCII and every value is numeric or boolean).
-    pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:.3}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str("  \"experiment\": \"e17_autopilot\",\n");
-        s.push_str(&format!("  \"mode\": \"{}\",\n", self.mode));
-        s.push_str(&format!("  \"horizon_ms\": {},\n", self.horizon_ms));
-        s.push_str(&format!(
-            "  \"force_latency_us\": {},\n  \"workers\": {},\n  \"max_waiters\": {},\n  \"ramp_start\": {},\n  \"ramp_end\": {},\n  \"p99_band_us\": {},\n",
-            FORCE_LATENCY.as_micros(),
-            WORKERS,
-            MAX_WAITERS,
-            RAMP_START,
-            RAMP_END,
-            P99_BAND.as_micros()
-        ));
-        s.push_str("  \"rows\": [\n");
-        for (i, r) in self.rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"label\": \"{}\", \"offered\": {}, \"delivered\": {}, \"shed\": {}, \
-                 \"delivered_per_sec\": {}, \"total_p50_us\": {}, \"total_p99_us\": {}, \
-                 \"total_max_us\": {}, \"splits\": {}, \"merges\": {}, \"violations\": {}, \
-                 \"map_epoch\": {}, \"settled\": {}, \"lost_acks\": {}, \"retries\": {}, \
-                 \"first_split_ms\": {}, \"considered\": {}, \"cooldown_skips\": {}}}{}\n",
-                r.label,
-                r.offered,
-                r.delivered,
-                r.shed,
-                num(r.delivered_per_sec),
-                num(r.total_p50_us),
-                num(r.total_p99_us),
-                num(r.total_max_us),
-                r.splits,
-                r.merges,
-                r.violations,
-                r.map_epoch,
-                r.settled,
-                r.lost_acks,
-                r.retries,
-                num(r.first_split_ms),
-                r.considered,
-                r.cooldown_skips,
-                if i + 1 == self.rows.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n  \"gates\": [\n");
-        for (i, g) in self.gates.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"threshold\": {}, \"pass\": {}}}{}\n",
-                g.name,
-                num(g.value),
-                num(g.threshold),
-                g.pass,
-                if i + 1 == self.gates.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
+    vec![
+        // Policy-initiated moves never lose an acknowledged write.
+        Gate::holds(
+            "policy: zero acknowledged writes lost",
+            auto.num("lost_acks") == 0.0,
+        ),
+        // The autopilot acted: at least one completed split, every rep.
+        Gate::at_least(
+            "policy: at least one completed autopilot split",
+            auto.num("splits"),
+            1.0,
+        ),
+        // And left the tier settled: every shard at the final epoch, no
+        // fence behind.
+        Gate::holds(
+            "policy: map settled on every shard, fences clear",
+            auto.num("settled") == 1.0,
+        ),
+        // No thrash: a range moves at most once per cooldown window.
+        Gate::holds(
+            "policy: no range moved twice within one cooldown window",
+            auto.num("violations") == 0.0,
+        ),
+        // The band separation — the policy cell holds p99 inside the
+        // band…
+        Gate::at_least(
+            "policy: arrival→commit p99 inside the band",
+            band_us / auto.num("total_p99_us").max(f64::EPSILON),
+            1.0,
+        ),
+        // …that the static map breaches on the same ramp.
+        Gate::at_least(
+            "static: arrival→commit p99 breaches the band",
+            fixed.num("total_p99_us") / band_us,
+            1.0,
+        ),
+        // The split buys real capacity: the policy cell delivers at
+        // least what the saturating static cell manages.
+        Gate::at_least(
+            "policy: delivered throughput vs static",
+            auto.num("delivered_per_sec") / fixed.num("delivered_per_sec").max(f64::EPSILON),
+            1.0,
+        ),
+    ]
 }

@@ -1,13 +1,12 @@
-//! A minimal JSON reader for the bench-telemetry pipeline.
+//! A minimal JSON value for the bench-telemetry pipeline.
 //!
-//! The workspace is offline (no serde); the telemetry JSON this crate
-//! *writes* is assembled by hand, and the `report check` regression
-//! harness needs to read it (and the checked-in baseline file) back.
-//! This is a small recursive-descent parser for standard JSON —
-//! objects, arrays, strings with the common escapes, f64 numbers,
-//! booleans and null — plus the handful of typed accessors the
-//! baseline checker uses. Not a general-purpose serializer; writing
-//! stays hand-assembled at each experiment's `to_json`.
+//! The workspace is offline (no serde). [`Json`] is both the value type
+//! of an experiment's report rows (written through its `Display` impl)
+//! and what the `report check` regression harness reads the telemetry
+//! and the checked-in baseline file back into. The parser is a small
+//! recursive descent over standard JSON — objects, arrays, strings
+//! with the common escapes, f64 numbers, booleans and null — plus the
+//! handful of typed accessors the baseline checker uses.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -98,6 +97,77 @@ impl Json {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
+        }
+    }
+}
+
+macro_rules! json_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Num(v as f64)
+            }
+        }
+    )*};
+}
+json_from_number!(f64, u64, usize, u32, u16);
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+/// Compact JSON text. A non-finite number (an `INFINITY` rate over a
+/// zero elapsed time, a NaN ratio) has no JSON spelling and is written
+/// as `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Json::Num(_) => f.write_str("null"),
+            Json::Str(s) => {
+                f.write_str("\"")?;
+                for c in s.chars() {
+                    match c {
+                        '"' => f.write_str("\\\"")?,
+                        '\\' => f.write_str("\\\\")?,
+                        '\n' => f.write_str("\\n")?,
+                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                        c => write!(f, "{c}")?,
+                    }
+                }
+                f.write_str("\"")
+            }
+            Json::Arr(a) => {
+                f.write_str("[")?;
+                for (i, v) in a.iter().enumerate() {
+                    write!(f, "{}{v}", if i == 0 { "" } else { ", " })?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(m) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in m.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { ", " };
+                    write!(f, "{sep}{}: {v}", Json::Str(k.clone()))?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -335,7 +405,7 @@ mod tests {
 
     #[test]
     fn roundtrips_real_bench_telemetry_shape() {
-        // The exact shape e11's to_json writes.
+        // The shape the experiment registry's JSON writer produces.
         let doc = "{\n  \"experiment\": \"e11_group_commit\",\n  \"mode\": \"smoke\",\n  \
                    \"rows\": [\n    {\"label\": \"inline group adaptive\", \"threads\": 32, \
                    \"commits_per_sec\": 18123.456}\n  ],\n  \"gates\": [\n    \

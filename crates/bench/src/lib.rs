@@ -1,10 +1,13 @@
 //! # unbundled-bench
 //!
-//! Shared workload builders for the experiment suite. Each experiment
-//! `E1`–`E10` (see `DESIGN.md` §4 and `EXPERIMENTS.md`) has a Criterion
-//! bench under `benches/` and a printable table in `src/bin/report.rs`;
-//! the commit-path experiment E11 lives in [`e11`] so the bench gate and
-//! the report's JSON telemetry share one harness.
+//! The experiment suite reproducing the paper's evaluation. Every
+//! experiment is one entry of the [`experiment::EXPERIMENTS`] registry —
+//! the paper's own figures and claims E1–E10 in [`paper`], the later
+//! commit-path, replication, sharding, rebalance, MVCC and autopilot
+//! experiments in [`e11`]–[`e17`], the commit-path breakdown in [`obs`]
+//! — and the `report` binary runs them, prints their tables, writes
+//! their `BENCH_<name>.json` telemetry and enforces their gates. This
+//! file holds the workload builders they share.
 
 #![warn(missing_docs)]
 
@@ -16,8 +19,10 @@ pub mod e14;
 pub mod e15;
 pub mod e16;
 pub mod e17;
+pub mod experiment;
 pub mod json;
 pub mod obs;
+pub mod paper;
 pub mod workload;
 
 use std::sync::Arc;

@@ -3,54 +3,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A latency histogram (microsecond resolution, fixed reservoir).
-#[derive(Default)]
-pub struct Histogram {
-    samples: parking_lot::Mutex<Vec<u64>>,
-}
-
-impl Histogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one duration.
-    pub fn record(&self, d: Duration) {
-        self.samples.lock().push(d.as_micros() as u64);
-    }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.samples.lock().len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.samples.lock().is_empty()
-    }
-
-    /// Percentile in microseconds (0.0–100.0).
-    pub fn percentile(&self, p: f64) -> u64 {
-        let mut s = self.samples.lock().clone();
-        if s.is_empty() {
-            return 0;
-        }
-        s.sort_unstable();
-        let idx = ((p / 100.0) * (s.len() - 1) as f64).round() as usize;
-        s[idx.min(s.len() - 1)]
-    }
-
-    /// Mean in microseconds.
-    pub fn mean(&self) -> f64 {
-        let s = self.samples.lock();
-        if s.is_empty() {
-            return 0.0;
-        }
-        s.iter().sum::<u64>() as f64 / s.len() as f64
-    }
-}
-
 /// Run `threads` copies of `f(thread_index)` concurrently; returns the
 /// wall-clock time of the slowest.
 pub fn run_concurrent<F>(threads: usize, f: F) -> Duration
@@ -82,19 +34,6 @@ pub fn ops_per_sec(ops: u64, elapsed: Duration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_percentiles() {
-        let h = Histogram::new();
-        for i in 1..=100u64 {
-            h.record(Duration::from_micros(i));
-        }
-        assert_eq!(h.len(), 100);
-        assert_eq!(h.percentile(0.0), 1);
-        assert_eq!(h.percentile(100.0), 100);
-        assert!(h.percentile(50.0) >= 49 && h.percentile(50.0) <= 52);
-        assert!((h.mean() - 50.5).abs() < 0.01);
-    }
 
     #[test]
     fn concurrent_runner_runs_all() {
