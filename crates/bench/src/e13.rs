@@ -53,7 +53,7 @@ pub const WORKERS: usize = 16;
 pub const QUEUE_CAP: usize = 512;
 
 /// p99 gather-latency budget handed to the latency-aware adaptive
-/// controller ([`GatherWindow::AdaptiveBudget`]). A commit's
+/// controller ([`GatherWindow::adaptive_with_budget`]). A commit's
 /// gather+flush latency is intrinsically up to one window plus two
 /// device flushes (the in-flight flush it just missed, then its own),
 /// ≈ 2 ms here — the budget must sit above that floor or the

@@ -577,7 +577,11 @@ fn e8_collapse() -> (Row, Vec<Gate>) {
     // Cross-TC visibility: TC 1 reads a row TC 2 wrote, lock-free.
     let peek = d
         .tc(TcId(1))
-        .read_dirty(TABLE, Key::from_u64(tc_partition_base(2) + 1))
+        .read_unlocked(
+            TABLE,
+            Key::from_u64(tc_partition_base(2) + 1),
+            ReadFlavor::Latest,
+        )
         .expect("cross-TC read");
 
     // Real parallel speedup depends on the machine's core count, so the

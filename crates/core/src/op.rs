@@ -27,8 +27,9 @@ pub enum ReadFlavor {
     /// is a *dirty read* (Section 6.2.1) — always well-formed thanks to
     /// operation atomicity, but possibly uncommitted.
     Latest,
-    /// *Read committed* over versioned data (Section 6.2.2): sees the
-    /// before-version while an update is pending; never blocks.
+    /// *Read committed* (Section 6.2.2): the newest version stamped
+    /// with a commit LSN, so an update still pending (or aborted) is
+    /// invisible; never blocks. Same as `Snapshot(Lsn::MAX)`.
     Committed,
     /// MVCC snapshot read: the newest version whose **commit LSN** is
     /// `<=` the given LSN. Uncommitted and not-yet-stamped data is
@@ -65,8 +66,8 @@ pub enum LogicalOp {
         key: Key,
     },
     /// Versioned insert-or-update (Section 6.2.2): installs `value` as an
-    /// uncommitted version, retaining the committed state (or an "absent"
-    /// marker) as the before-version.
+    /// unstamped version; the committed state stays in the record's
+    /// version chain, where read-committed readers still see it.
     VersionedWrite {
         /// Target (versioned) table.
         table: TableId,
@@ -75,15 +76,8 @@ pub enum LogicalOp {
         /// New (uncommitted) payload.
         value: Vec<u8>,
     },
-    /// Post-commit: drop the before-version, making the update committed.
-    PromoteVersion {
-        /// Target (versioned) table.
-        table: TableId,
-        /// Record key.
-        key: Key,
-    },
-    /// Abort: remove the uncommitted version, restoring the
-    /// before-version (removing the record if it was a versioned insert).
+    /// Abort: drop the unstamped version, reinstating the newest
+    /// committed one (removing the record if it was a versioned insert).
     RevertVersion {
         /// Target (versioned) table.
         table: TableId,
@@ -94,7 +88,7 @@ pub enum LogicalOp {
     /// LSN `op` with the transaction's `commit` LSN, publishing it to
     /// snapshot readers. Identified by the creating op's LSN so that
     /// resends and reordering cannot stamp a later write by mistake.
-    /// Redo-only (like `PromoteVersion`): never undone.
+    /// Redo-only (like `RevertVersion`): never undone.
     StampCommit {
         /// Target table.
         table: TableId,
@@ -148,7 +142,6 @@ impl LogicalOp {
             | LogicalOp::Update { table, .. }
             | LogicalOp::Delete { table, .. }
             | LogicalOp::VersionedWrite { table, .. }
-            | LogicalOp::PromoteVersion { table, .. }
             | LogicalOp::RevertVersion { table, .. }
             | LogicalOp::StampCommit { table, .. }
             | LogicalOp::Read { table, .. }
@@ -164,7 +157,6 @@ impl LogicalOp {
             | LogicalOp::Update { key, .. }
             | LogicalOp::Delete { key, .. }
             | LogicalOp::VersionedWrite { key, .. }
-            | LogicalOp::PromoteVersion { key, .. }
             | LogicalOp::RevertVersion { key, .. }
             | LogicalOp::StampCommit { key, .. }
             | LogicalOp::Read { key, .. } => Some(key),
@@ -181,7 +173,6 @@ impl LogicalOp {
                 | LogicalOp::Update { .. }
                 | LogicalOp::Delete { .. }
                 | LogicalOp::VersionedWrite { .. }
-                | LogicalOp::PromoteVersion { .. }
                 | LogicalOp::RevertVersion { .. }
                 | LogicalOp::StampCommit { .. }
         )
@@ -191,7 +182,7 @@ impl LogicalOp {
     /// (`prior = None` means the record did not exist).
     ///
     /// Returns `None` for reads (nothing to undo) and for the version
-    /// bookkeeping operations: `PromoteVersion` runs only after commit and
+    /// bookkeeping operations: `StampCommit` runs only after commit and
     /// `RevertVersion` only during abort — neither is ever itself undone
     /// (they are redo-only, like compensation records).
     pub fn inverse(&self, prior: Option<&[u8]>) -> Option<LogicalOp> {
@@ -210,15 +201,14 @@ impl LogicalOp {
                 key: key.clone(),
                 value: prior.expect("delete undo requires prior value").to_vec(),
             }),
-            // A versioned write is undone by reverting to the retained
-            // before-version — the DC holds the prior state, so the TC
+            // A versioned write is undone by reverting to the newest
+            // committed version — the DC holds the prior state, so the TC
             // needs no prior payload.
             LogicalOp::VersionedWrite { table, key, .. } => Some(LogicalOp::RevertVersion {
                 table: *table,
                 key: key.clone(),
             }),
-            LogicalOp::PromoteVersion { .. }
-            | LogicalOp::RevertVersion { .. }
+            LogicalOp::RevertVersion { .. }
             | LogicalOp::StampCommit { .. }
             | LogicalOp::Read { .. }
             | LogicalOp::ScanRange { .. }
@@ -233,7 +223,6 @@ impl LogicalOp {
             LogicalOp::Update { .. } => "update",
             LogicalOp::Delete { .. } => "delete",
             LogicalOp::VersionedWrite { .. } => "vwrite",
-            LogicalOp::PromoteVersion { .. } => "promote",
             LogicalOp::RevertVersion { .. } => "revert",
             LogicalOp::StampCommit { .. } => "stamp",
             LogicalOp::Read { .. } => "read",
@@ -368,14 +357,6 @@ mod tests {
             None
         );
         assert_eq!(
-            LogicalOp::PromoteVersion {
-                table: t(),
-                key: Key::from_u64(1)
-            }
-            .inverse(None),
-            None
-        );
-        assert_eq!(
             LogicalOp::RevertVersion {
                 table: t(),
                 key: Key::from_u64(1)
@@ -403,7 +384,7 @@ mod tests {
             value: vec![]
         }
         .is_mutation());
-        assert!(LogicalOp::PromoteVersion {
+        assert!(LogicalOp::RevertVersion {
             table: t(),
             key: Key::from_u64(1)
         }

@@ -1,64 +1,49 @@
-//! Stored record representation: the *versioned data* scheme of Section
-//! 6.2.2 plus the MVCC version chain that backs snapshot reads.
+//! Stored record representation: one version chain that serves both
+//! the *versioned data* reads of Section 6.2.2 and MVCC snapshot reads.
 //!
-//! For unversioned tables a record is its payload (plus the owning TC's
-//! id, the "link" of Section 6.1.2 that associates each record with the
-//! single per-TC abLSN on the page so a failed TC's records can be
-//! selectively reset).
+//! Every record carries the owning TC's id, the "link" of Section 6.1.2
+//! that associates it with the single per-TC abLSN on the page so a
+//! failed TC's records can be selectively reset.
 //!
-//! For versioned tables, an update produces a new *uncommitted* version
-//! while retaining the *before* version; an insert installs a "null"
-//! before version. When the updating TC commits it sends operations that
-//! eliminate the before versions (promote); on abort it sends operations
-//! that remove the new versions (revert). Readers from other TCs read the
-//! before version when present — committed data, with no blocking and no
-//! two-phase commit.
-//!
-//! ## MVCC version chain
-//!
-//! Every record additionally keeps a short history of *committed*
-//! payloads keyed by **commit LSN** (the redo log totally orders
-//! commits). A mutation installs its payload as `current` with
-//! `current_commit = None`; the TC's post-commit [`StampCommit`]
-//! operation fills in the commit LSN, publishing the version to
-//! snapshot readers. When a later write displaces a stamped `current`,
-//! the displaced payload moves into `versions`; a displaced *unstamped*
-//! payload (an intermediate write of the same transaction, or an aborted
-//! write) parks in `staged` until garbage collection reclaims it.
-//! Deletes become tombstones (`tomb`) so a snapshot older than the
+//! A record keeps a short history of *committed* payloads keyed by
+//! **commit LSN** (the redo log totally orders commits). A mutation
+//! installs its payload as `current` with `current_commit = None`; the
+//! TC's post-commit [`StampCommit`] operation fills in the commit LSN,
+//! publishing the version. When a later write displaces a stamped
+//! `current`, the displaced payload moves into `versions`; a displaced
+//! *unstamped* payload (an intermediate write of the same transaction, or
+//! an aborted write) parks in `staged` until garbage collection reclaims
+//! it. Deletes become tombstones (`tomb`) so a snapshot older than the
 //! delete can still see the record; tombstoned records are physically
 //! removed only once no retained snapshot can need them.
 //!
+//! Section 6.2.2 reads the same chain: *Committed = newest stamped;
+//! revert = drop the unstamped head*. A read-committed reader from any
+//! TC sees the newest stamped version, so it neither blocks on nor sees
+//! an uncommitted update. An aborting versioned write's
+//! [`RevertVersion`] drops the unstamped `current` and reinstates the
+//! newest committed version, or removes the record if there is none (the
+//! aborted write was an insert).
+//!
 //! Commit LSNs are meaningful only within one TC's log. When ownership
-//! of a record moves to a different TC the history is cleared: versions
-//! from the old owner's LSN space are not comparable to the new owner's
-//! snapshot positions.
+//! of a record moves to a different TC the old owner's history is
+//! dropped, except its newest committed payload: that stays as an
+//! `Lsn(0)` entry, committed before anything the new owner logs.
 //!
 //! [`StampCommit`]: crate::op::LogicalOp::StampCommit
+//! [`RevertVersion`]: crate::op::LogicalOp::RevertVersion
 
 use crate::codec::{Decoder, Encoder};
 use crate::error::CoreError;
 use crate::ids::TcId;
 use crate::lsn::Lsn;
 
-/// The retained committed state underneath an uncommitted update.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum BeforeVersion {
-    /// The record did not exist before (the pending update is an insert);
-    /// read-committed readers treat the record as absent.
-    Absent,
-    /// The committed payload before the pending update.
-    Value(Vec<u8>),
-}
-
 /// A record as stored in a DC.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StoredRecord {
-    /// Latest payload (committed for unversioned tables; possibly
-    /// uncommitted for versioned tables while `before` is `Some`).
+    /// Latest payload: committed once stamped, uncommitted (or
+    /// aborted) while `current_commit` is `None`.
     pub current: Vec<u8>,
-    /// Retained before-version (versioned tables only).
-    pub before: Option<BeforeVersion>,
     /// The TC whose update produced `current` (Section 6.1.2).
     pub owner: TcId,
     /// True if the latest operation was a delete: the record is absent
@@ -86,14 +71,8 @@ impl StoredRecord {
     /// with the creating op's LSN.
     pub fn committed(payload: Vec<u8>, owner: TcId) -> Self {
         StoredRecord {
-            current: payload,
-            before: None,
-            owner,
-            tomb: false,
-            current_op: Lsn(0),
             current_commit: Some(Lsn(0)),
-            versions: Vec::new(),
-            staged: Vec::new(),
+            ..Self::new(payload, owner, Lsn(0))
         }
     }
 
@@ -102,25 +81,12 @@ impl StoredRecord {
     pub fn new(payload: Vec<u8>, owner: TcId, op: Lsn) -> Self {
         StoredRecord {
             current: payload,
-            before: None,
             owner,
             tomb: false,
             current_op: op,
             current_commit: None,
             versions: Vec::new(),
             staged: Vec::new(),
-        }
-    }
-
-    /// Payload visible to a read-committed reader from *another* TC:
-    /// the before version if one is pending, else the current payload.
-    /// `None` means "record absent" for that reader.
-    pub fn read_committed(&self) -> Option<&[u8]> {
-        match &self.before {
-            Some(BeforeVersion::Absent) => None,
-            Some(BeforeVersion::Value(v)) => Some(v),
-            None if self.tomb => None,
-            None => Some(&self.current),
         }
     }
 
@@ -137,7 +103,9 @@ impl StoredRecord {
 
     /// Payload visible to a snapshot at `at`: the newest version whose
     /// commit LSN is `<= at`. Unstamped data is invisible. Only
-    /// meaningful when `at` is in the owning TC's LSN space.
+    /// meaningful when `at` is in the owning TC's LSN space, except
+    /// `Lsn::MAX`: the newest stamped version, which is what a
+    /// read-committed reader of any TC sees (Section 6.2.2).
     pub fn read_snapshot(&self, at: Lsn) -> Option<&[u8]> {
         if let Some(c) = self.current_commit {
             if c <= at {
@@ -151,11 +119,6 @@ impl StoredRecord {
             .and_then(|(_, v)| v.as_deref())
     }
 
-    /// True if an uncommitted version is pending.
-    pub fn has_pending(&self) -> bool {
-        self.before.is_some()
-    }
-
     /// Move `current` into the history (`versions` if stamped, `staged`
     /// if its stamp never arrived) ahead of an overwrite.
     fn displace(&mut self) {
@@ -167,42 +130,47 @@ impl StoredRecord {
         }
     }
 
-    /// Overwrite with a new (unstamped) payload, retaining the old
-    /// state in the version chain. Clears a tombstone (insert-over-
-    /// delete). A change of owner drops the history: the old owner's
-    /// commit LSNs are not comparable in the new owner's log.
-    pub fn overwrite(&mut self, payload: Vec<u8>, owner: TcId, op: Lsn) {
-        if owner != self.owner {
-            self.versions.clear();
-            self.staged.clear();
-            self.current_commit = None;
-            self.current.clear();
-            self.tomb = false;
-        } else {
+    /// Drop the history of the previous owner ahead of a write by a
+    /// different TC: its commit LSNs are not comparable in the new
+    /// owner's log. Its newest committed payload stays as an `Lsn(0)`
+    /// entry, so committed readers and the new owner's revert still
+    /// find it.
+    fn drop_foreign_history(&mut self) {
+        let newest = match self.current_commit {
+            Some(_) => (!self.tomb).then(|| std::mem::take(&mut self.current)),
+            None => self.versions.pop().and_then(|(_, v)| v),
+        };
+        self.versions.clear();
+        self.staged.clear();
+        self.versions.extend(newest.map(|v| (Lsn(0), Some(v))));
+    }
+
+    /// Install an unstamped `current` (`None` = tombstone), retaining
+    /// the old state in the version chain.
+    fn install(&mut self, payload: Option<Vec<u8>>, owner: TcId, op: Lsn) {
+        if owner == self.owner {
             self.displace();
+        } else {
+            self.drop_foreign_history();
         }
-        self.current = payload;
+        self.tomb = payload.is_none();
+        self.current = payload.unwrap_or_default();
         self.owner = owner;
-        self.tomb = false;
         self.current_op = op;
         self.current_commit = None;
+    }
+
+    /// Overwrite with a new (unstamped) payload, retaining the old
+    /// state in the version chain. Clears a tombstone (insert-over-
+    /// delete).
+    pub fn overwrite(&mut self, payload: Vec<u8>, owner: TcId, op: Lsn) {
+        self.install(Some(payload), owner, op);
     }
 
     /// Delete: become an (unstamped) tombstone, retaining the old state
     /// in the version chain.
     pub fn delete(&mut self, owner: TcId, op: Lsn) {
-        if owner != self.owner {
-            self.versions.clear();
-            self.staged.clear();
-            self.current_commit = None;
-        } else {
-            self.displace();
-        }
-        self.current = Vec::new();
-        self.owner = owner;
-        self.tomb = true;
-        self.current_op = op;
-        self.current_commit = None;
+        self.install(None, owner, op);
     }
 
     /// Apply a commit stamp for the version created by op LSN `op`.
@@ -220,6 +188,27 @@ impl StoredRecord {
             return true;
         }
         false
+    }
+
+    /// Abort a versioned write (Section 6.2.2): drop the unstamped
+    /// `current` and reinstate the newest committed version with its
+    /// stamp. Returns `false` if there is none — the aborted write was
+    /// an insert and the record should be removed. A stamped `current`
+    /// has nothing to revert (an earlier revert of the same transaction
+    /// already dropped its writes): no-op.
+    #[must_use]
+    pub fn revert(&mut self) -> bool {
+        if self.current_commit.is_some() {
+            return true;
+        }
+        let Some((commit, payload)) = self.versions.pop() else {
+            return false;
+        };
+        self.tomb = payload.is_none();
+        self.current = payload.unwrap_or_default();
+        self.current_op = Lsn(0);
+        self.current_commit = Some(commit);
+        true
     }
 
     /// Garbage-collect history no snapshot at or above `floor` can
@@ -242,14 +231,13 @@ impl StoredRecord {
         before - (self.versions.len() + self.staged.len())
     }
 
-    /// True once a tombstone can be physically removed: no history or
-    /// pending state remains, and either the delete is stamped below
-    /// `floor`, or it is unstamped with an op LSN below `floor` — its
-    /// stamp can no longer be outstanding (an aborted delete, or the
-    /// rollback of an insert).
+    /// True once a tombstone can be physically removed: no history
+    /// remains, and either the delete is stamped below `floor`, or it
+    /// is unstamped with an op LSN below `floor` — its stamp can no
+    /// longer be outstanding (an aborted delete, or the rollback of an
+    /// insert).
     pub fn tomb_reclaimable(&self, floor: Lsn) -> bool {
         self.tomb
-            && self.before.is_none()
             && self.versions.is_empty()
             && self.staged.is_empty()
             && match self.current_commit {
@@ -262,52 +250,6 @@ impl StoredRecord {
     /// accounting.
     pub fn chain_len(&self) -> usize {
         self.versions.len() + self.staged.len()
-    }
-
-    /// Apply a versioned update: keep the committed state as the before
-    /// version (first update wins the slot — later updates by the same
-    /// transaction must not overwrite the original committed state).
-    pub fn versioned_update(&mut self, new_payload: Vec<u8>, owner: TcId, op: Lsn) {
-        if self.before.is_none() {
-            self.before = Some(BeforeVersion::Value(self.current.clone()));
-        }
-        self.overwrite(new_payload, owner, op);
-    }
-
-    /// Commit the pending version: drop the before version.
-    pub fn promote(&mut self) {
-        self.before = None;
-    }
-
-    /// Abort the pending version: restore the before version. Returns
-    /// `false` if the record should be removed entirely (the pending
-    /// update was an insert).
-    #[must_use]
-    pub fn revert(&mut self) -> bool {
-        match self.before.take() {
-            Some(BeforeVersion::Absent) => false,
-            Some(BeforeVersion::Value(v)) => {
-                // The displaced committed state was pushed into the
-                // version history when the pending version was
-                // installed; reclaim it so the chain again excludes
-                // `current`.
-                let reclaim = self
-                    .versions
-                    .last()
-                    .map(|(_, val)| val.as_deref() == Some(v.as_slice()))
-                    .unwrap_or(false);
-                self.current_commit = if reclaim {
-                    self.versions.pop().map(|(c, _)| c)
-                } else {
-                    None
-                };
-                self.current = v;
-                self.current_op = Lsn(0);
-                self.tomb = false;
-                true
-            }
-            None => true,
-        }
     }
 
     fn version_entry_size(v: &Option<Vec<u8>>) -> usize {
@@ -342,11 +284,6 @@ impl StoredRecord {
 
     /// Encoded size in a page image.
     pub fn encoded_size(&self) -> usize {
-        let before = match &self.before {
-            None => 1,
-            Some(BeforeVersion::Absent) => 1,
-            Some(BeforeVersion::Value(v)) => 1 + 4 + v.len(),
-        };
         let commit = match self.current_commit {
             None => 1,
             Some(_) => 1 + 8,
@@ -357,21 +294,13 @@ impl StoredRecord {
             .chain(self.staged.iter())
             .map(|(_, v)| Self::version_entry_size(v))
             .sum();
-        2 + 4 + self.current.len() + before + 1 + 8 + commit + 4 + 4 + chain
+        2 + 4 + self.current.len() + 1 + 8 + commit + 4 + 4 + chain
     }
 
     /// Serialize into a page image.
     pub fn encode(&self, enc: &mut Encoder) {
         enc.u16(self.owner.0);
         enc.bytes(&self.current);
-        match &self.before {
-            None => enc.u8(0),
-            Some(BeforeVersion::Absent) => enc.u8(1),
-            Some(BeforeVersion::Value(v)) => {
-                enc.u8(2);
-                enc.bytes(v);
-            }
-        }
         enc.bool(self.tomb);
         enc.u64(self.current_op.0);
         match self.current_commit {
@@ -395,17 +324,6 @@ impl StoredRecord {
     pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, CoreError> {
         let owner = TcId(dec.u16()?);
         let current = dec.bytes()?.to_vec();
-        let before = match dec.u8()? {
-            0 => None,
-            1 => Some(BeforeVersion::Absent),
-            2 => Some(BeforeVersion::Value(dec.bytes()?.to_vec())),
-            _ => {
-                return Err(CoreError::Codec {
-                    what: "bad before-version tag",
-                    at: 0,
-                })
-            }
-        };
         let tomb = dec.bool()?;
         let current_op = Lsn(dec.u64()?);
         let current_commit = match dec.u8()? {
@@ -430,7 +348,6 @@ impl StoredRecord {
         }
         Ok(StoredRecord {
             current,
-            before,
             owner,
             tomb,
             current_op,
@@ -448,8 +365,9 @@ pub struct TableSpec {
     pub id: crate::ids::TableId,
     /// Human-readable name.
     pub name: String,
-    /// Whether the table keeps before-versions for cross-TC
-    /// read-committed sharing (Section 6.2.2).
+    /// Whether the table takes versioned writes (upserts the DC itself
+    /// reverts on abort) for cross-TC read-committed sharing (Section
+    /// 6.2.2).
     pub versioned: bool,
 }
 
@@ -480,46 +398,46 @@ mod tests {
     #[test]
     fn committed_record_reads_same_everywhere() {
         let r = StoredRecord::committed(b"v1".to_vec(), TcId(1));
-        assert_eq!(r.read_committed(), Some(&b"v1"[..]));
+        assert_eq!(r.read_snapshot(Lsn::MAX), Some(&b"v1"[..]));
         assert_eq!(r.read_latest(), Some(&b"v1"[..]));
         assert_eq!(r.read_snapshot(Lsn(0)), Some(&b"v1"[..]));
-        assert!(!r.has_pending());
     }
 
     #[test]
-    fn versioned_update_exposes_before_to_readers() {
+    fn unstamped_write_is_invisible_to_committed_readers() {
         let mut r = StoredRecord::committed(b"old".to_vec(), TcId(1));
-        r.versioned_update(b"new".to_vec(), TcId(1), Lsn(5));
+        r.overwrite(b"new".to_vec(), TcId(1), Lsn(5));
         assert_eq!(r.read_latest(), Some(&b"new"[..]), "owner sees its write");
         assert_eq!(
-            r.read_committed(),
+            r.read_snapshot(Lsn::MAX),
             Some(&b"old"[..]),
             "readers see committed"
         );
-        r.promote();
-        assert_eq!(r.read_committed(), Some(&b"new"[..]));
+        assert!(r.stamp(Lsn(5), Lsn(7)));
+        assert_eq!(r.read_snapshot(Lsn::MAX), Some(&b"new"[..]));
     }
 
     #[test]
-    fn double_update_preserves_original_before() {
+    fn revert_drops_every_unstamped_write_of_the_transaction() {
         let mut r = StoredRecord::committed(b"v0".to_vec(), TcId(1));
-        r.versioned_update(b"v1".to_vec(), TcId(1), Lsn(5));
-        r.versioned_update(b"v2".to_vec(), TcId(1), Lsn(6));
-        assert_eq!(r.read_committed(), Some(&b"v0"[..]));
+        r.overwrite(b"v1".to_vec(), TcId(1), Lsn(5));
+        r.overwrite(b"v2".to_vec(), TcId(1), Lsn(6));
+        assert_eq!(r.read_snapshot(Lsn::MAX), Some(&b"v0"[..]));
+        // Rollback sends one revert per write, newest first.
         assert!(r.revert());
+        assert!(r.revert(), "the second revert finds nothing unstamped");
         assert_eq!(r.read_latest(), Some(&b"v0"[..]));
         assert_eq!(
             r.current_commit,
             Some(Lsn(0)),
-            "revert reclaims the displaced committed state"
+            "revert reinstates the committed version with its stamp"
         );
     }
 
     #[test]
-    fn versioned_insert_is_absent_to_readers_until_commit() {
+    fn reverted_insert_is_removed() {
         let mut r = StoredRecord::new(b"new".to_vec(), TcId(2), Lsn(7));
-        r.before = Some(BeforeVersion::Absent);
-        assert_eq!(r.read_committed(), None);
+        assert_eq!(r.read_snapshot(Lsn::MAX), None);
         assert!(!r.revert(), "revert of an insert removes the record");
     }
 
@@ -543,10 +461,11 @@ mod tests {
         assert!(r.stamp(Lsn(10), Lsn(12)));
         r.delete(TcId(1), Lsn(20));
         assert_eq!(r.read_latest(), None);
-        assert_eq!(r.read_committed(), None);
+        assert_eq!(r.read_snapshot(Lsn::MAX), Some(&b"a"[..]));
         assert_eq!(r.read_snapshot(Lsn(12)), Some(&b"a"[..]));
         assert!(r.stamp(Lsn(20), Lsn(22)));
         assert_eq!(r.read_snapshot(Lsn(22)), None, "snapshot sees the delete");
+        assert_eq!(r.read_snapshot(Lsn::MAX), None);
         assert!(!r.tomb_reclaimable(Lsn(12)));
         assert_eq!(r.gc(Lsn(22)), 1);
         assert!(r.tomb_reclaimable(Lsn(22)));
@@ -585,12 +504,21 @@ mod tests {
     }
 
     #[test]
-    fn ownership_change_clears_history() {
+    fn ownership_change_keeps_only_the_newest_committed_payload() {
         let mut r = StoredRecord::new(b"a".to_vec(), TcId(1), Lsn(10));
         assert!(r.stamp(Lsn(10), Lsn(12)));
-        r.overwrite(b"b".to_vec(), TcId(2), Lsn(3));
-        assert_eq!(r.chain_len(), 0, "old owner's LSN space dropped");
+        r.overwrite(b"b".to_vec(), TcId(1), Lsn(20));
+        // TC 2 writes over TC 1's unstamped `b`: only the committed `a`
+        // survives, at `Lsn(0)` in TC 2's LSN space.
+        r.overwrite(b"c".to_vec(), TcId(2), Lsn(3));
         assert_eq!(r.owner, TcId(2));
+        assert_eq!(r.versions, vec![(Lsn(0), Some(b"a".to_vec()))]);
+        assert!(r.staged.is_empty(), "old owner's staged payloads dropped");
+        assert_eq!(r.read_snapshot(Lsn::MAX), Some(&b"a"[..]));
+        assert_eq!(r.read_snapshot(Lsn(1)), Some(&b"a"[..]));
+        assert!(r.revert());
+        assert_eq!(r.read_latest(), Some(&b"a"[..]), "abort brings it back");
+        assert_eq!(r.current_commit, Some(Lsn(0)));
     }
 
     #[test]
@@ -600,14 +528,14 @@ mod tests {
         stamped.overwrite(b"y".to_vec(), TcId(1), Lsn(9));
         let mut tomb = StoredRecord::new(b"t".to_vec(), TcId(4), Lsn(2));
         tomb.delete(TcId(4), Lsn(3));
-        let mut vers = StoredRecord::committed(b"y".to_vec(), TcId(9));
-        vers.before = Some(BeforeVersion::Value(b"z".to_vec()));
+        let mut adopted = StoredRecord::committed(b"y".to_vec(), TcId(9));
+        adopted.overwrite(b"z".to_vec(), TcId(8), Lsn(4));
         for r in [
             StoredRecord::committed(b"abc".to_vec(), TcId(3)),
             StoredRecord::new(b"x".to_vec(), TcId(1), Lsn(44)),
             stamped,
             tomb,
-            vers,
+            adopted,
         ] {
             let mut e = Encoder::new();
             r.encode(&mut e);
@@ -615,6 +543,137 @@ mod tests {
             assert_eq!(bytes.len(), r.encoded_size());
             let back = StoredRecord::decode(&mut Decoder::new(&bytes)).unwrap();
             assert_eq!(back, r);
+        }
+    }
+
+    /// The committed history of one record as a plain list, for the
+    /// chain model test.
+    #[derive(Default)]
+    struct Model {
+        /// Newest committed payload of earlier owners (the `Lsn(0)`
+        /// entry an owner change keeps).
+        inherited: Option<Vec<u8>>,
+        /// The current owner's commits, ascending: (commit LSN, payload).
+        commits: Vec<(Lsn, Option<Vec<u8>>)>,
+        /// The open transaction's writes: (op LSN, payload).
+        open: Vec<(Lsn, Option<Vec<u8>>)>,
+    }
+
+    impl Model {
+        fn committed_at(&self, at: Lsn) -> Option<Vec<u8>> {
+            match self.commits.iter().rev().find(|(c, _)| *c <= at) {
+                Some((_, v)) => v.clone(),
+                None => self.inherited.clone(),
+            }
+        }
+
+        fn latest(&self) -> Option<Vec<u8>> {
+            match self.open.last() {
+                Some((_, v)) => v.clone(),
+                None => self.committed_at(Lsn::MAX),
+            }
+        }
+    }
+
+    /// Seeded random histories of versioned writes and deletes, commit
+    /// stamps, reverts, `gc(floor)` and owner changes, checked after
+    /// every step against [`Model`]: `read_latest` is the newest write,
+    /// `Lsn::MAX` (read committed) the newest stamped one, and every
+    /// snapshot at or above the highest GC floor sees the newest commit
+    /// at or below it.
+    #[test]
+    fn chain_matches_committed_history_model() {
+        for seed in 0..300u64 {
+            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let mut rec: Option<StoredRecord> = None;
+            let mut m = Model::default();
+            let mut owner = TcId(1);
+            let mut lsn = 1u64;
+            let mut floor = 0u64;
+            for step in 0..120 {
+                let ctx = format!("seed {seed} step {step}");
+                match next(10) {
+                    // A write (one in four a delete) by the open
+                    // transaction, which opens one if none is open,
+                    // sometimes at another TC.
+                    0..=3 => {
+                        if m.open.is_empty() && next(4) == 0 {
+                            owner = TcId(1 + (owner.0 % 3));
+                            m.inherited = m.committed_at(Lsn::MAX);
+                            m.commits.clear();
+                            lsn = 1 + next(5);
+                            floor = 0;
+                        }
+                        lsn += 1;
+                        // Deletes only hit a record that exists.
+                        let payload = (rec.is_none() || next(4) != 0)
+                            .then(|| format!("{seed}.{step}").into_bytes());
+                        match (rec.as_mut(), payload.clone()) {
+                            (Some(r), Some(p)) => r.overwrite(p, owner, Lsn(lsn)),
+                            (Some(r), None) => r.delete(owner, Lsn(lsn)),
+                            (None, p) => {
+                                rec = Some(StoredRecord::new(p.unwrap(), owner, Lsn(lsn)));
+                            }
+                        }
+                        m.open.push((Lsn(lsn), payload));
+                    }
+                    // Commit: stamp the transaction's last write.
+                    4..=5 => {
+                        if let Some((op, v)) = m.open.last().cloned() {
+                            lsn += 1;
+                            let r = rec.as_mut().expect("a written record exists");
+                            assert!(r.stamp(op, Lsn(lsn)), "{ctx}: stamp missed");
+                            m.commits.push((Lsn(lsn), v));
+                            m.open.clear();
+                        }
+                    }
+                    // Abort: one revert per write, newest first.
+                    6..=7 => {
+                        for _ in m.open.drain(..) {
+                            if let Some(r) = rec.as_mut() {
+                                if !r.revert() {
+                                    rec = None;
+                                }
+                            }
+                        }
+                    }
+                    // GC at a floor no later than the last LSN drawn.
+                    _ => {
+                        floor = floor.max(next(lsn + 1));
+                        if let Some(r) = rec.as_mut() {
+                            r.gc(Lsn(floor));
+                        }
+                    }
+                }
+                let r = rec.as_ref();
+                let snapshot = |at| r.and_then(|r| r.read_snapshot(at)).map(<[u8]>::to_vec);
+                let latest = r.and_then(StoredRecord::read_latest).map(<[u8]>::to_vec);
+                assert_eq!(latest, m.latest(), "{ctx}: latest");
+                assert_eq!(
+                    snapshot(Lsn::MAX),
+                    m.committed_at(Lsn::MAX),
+                    "{ctx}: committed"
+                );
+                for at in floor..=lsn + 1 {
+                    assert_eq!(
+                        snapshot(Lsn(at)),
+                        m.committed_at(Lsn(at)),
+                        "{ctx}: snapshot at {at}"
+                    );
+                }
+                if let Some(r) = &rec {
+                    let mut e = Encoder::new();
+                    r.encode(&mut e);
+                    let back = StoredRecord::decode(&mut Decoder::new(&e.finish())).unwrap();
+                    assert_eq!(&back, r, "{ctx}: codec roundtrip");
+                }
+            }
         }
     }
 }

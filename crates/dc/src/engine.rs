@@ -509,12 +509,15 @@ impl DcEngine {
     /// stamped a version (for the stats).
     fn mutate_leaf(leaf: &mut Page, tc: TcId, lsn: Lsn, op: &LogicalOp) -> Result<bool, DcError> {
         match op {
-            LogicalOp::Insert { table, key, value } => {
+            LogicalOp::Insert { table, key, value }
+            | LogicalOp::VersionedWrite { table, key, value } => {
+                let upsert = matches!(op, LogicalOp::VersionedWrite { .. });
                 match leaf.find_mut(key) {
                     // A tombstone is physically present but logically
                     // absent: insert revives it, retaining the delete in
-                    // the version chain for older snapshots.
-                    Some(rec) if rec.tomb => rec.overwrite(value.clone(), tc, lsn),
+                    // the version chain for older snapshots. A versioned
+                    // write is an upsert.
+                    Some(rec) if rec.tomb || upsert => rec.overwrite(value.clone(), tc, lsn),
                     Some(_) => return Err(DcError::DuplicateKey(*table, key.clone())),
                     None => {
                         let inserted =
@@ -538,24 +541,6 @@ impl DcEngine {
                 }
                 _ => Err(DcError::KeyNotFound(*table, key.clone())),
             },
-            LogicalOp::VersionedWrite { key, value, .. } => {
-                match leaf.find_mut(key) {
-                    Some(rec) => rec.versioned_update(value.clone(), tc, lsn),
-                    None => {
-                        let mut rec = StoredRecord::new(value.clone(), tc, lsn);
-                        rec.before = Some(unbundled_core::BeforeVersion::Absent);
-                        let inserted = leaf.insert(key.clone(), rec);
-                        debug_assert!(inserted);
-                    }
-                }
-                Ok(false)
-            }
-            LogicalOp::PromoteVersion { key, .. } => {
-                if let Some(rec) = leaf.find_mut(key) {
-                    rec.promote();
-                }
-                Ok(false)
-            }
             LogicalOp::RevertVersion { key, .. } => {
                 let remove = match leaf.find_mut(key) {
                     Some(rec) => !rec.revert(),
@@ -589,9 +574,7 @@ impl DcEngine {
         let table = self.table(op.table())?;
         let versioned_op = matches!(
             op,
-            LogicalOp::VersionedWrite { .. }
-                | LogicalOp::PromoteVersion { .. }
-                | LogicalOp::RevertVersion { .. }
+            LogicalOp::VersionedWrite { .. } | LogicalOp::RevertVersion { .. }
         );
         let plain_op = matches!(
             op,
@@ -656,7 +639,7 @@ impl DcEngine {
     fn visible(rec: &StoredRecord, flavor: ReadFlavor) -> Option<Vec<u8>> {
         match flavor {
             ReadFlavor::Latest => rec.read_latest().map(|v| v.to_vec()),
-            ReadFlavor::Committed => rec.read_committed().map(|v| v.to_vec()),
+            ReadFlavor::Committed => rec.read_snapshot(Lsn::MAX).map(|v| v.to_vec()),
             ReadFlavor::Snapshot(at) => rec.read_snapshot(at).map(|v| v.to_vec()),
         }
     }

@@ -776,14 +776,16 @@ fn versioned_table_lifecycle() {
         OpResult::Value(Some(b"draft".to_vec())),
         "dirty read sees it"
     );
-    // Commit: promote.
+    // Commit: the stamp publishes the write to read-committed readers.
     fx.engine
         .perform(
             owner,
             RequestId::Op(Lsn(2)),
-            &LogicalOp::PromoteVersion {
+            &LogicalOp::StampCommit {
                 table: vt,
                 key: key.clone(),
+                op: Lsn(1),
+                commit: Lsn(2),
             },
         )
         .unwrap();

@@ -773,6 +773,20 @@ impl Drop for ReplicationPump {
     }
 }
 
+impl Drop for Deployment {
+    /// Stop every queued link's workers and detach each TC from its
+    /// links and peers: without this the TC → link → reply sink → TC and
+    /// TC ↔ TC peer cycles would keep every TC alive.
+    fn drop(&mut self) {
+        for node in self.tcs.values() {
+            for l in node.queued_links.lock().drain(..) {
+                l.shutdown();
+            }
+            node.tc.lock().detach();
+        }
+    }
+}
+
 impl Default for Deployment {
     fn default() -> Self {
         Self::new()

@@ -54,24 +54,21 @@ pub enum GatherWindow {
     /// actually improved. Probes that do not pay back off
     /// exponentially, so under light load the window decays to (and
     /// stays at) zero and a solo committer almost never waits.
-    Adaptive {
-        /// Upper bound on the chosen window.
-        cap: Duration,
-    },
-    /// The adaptive controller with a latency constraint: the objective
-    /// stays *measured delivered commits per second*, but every epoch
-    /// also measures the p99 of commit gather+flush latency (entry into
+    ///
+    /// With a `p99_budget` latency is a constraint: the objective stays
+    /// *measured delivered commits per second*, but every epoch also
+    /// measures the p99 of commit gather+flush latency (entry into
     /// `group_force` to return), and a candidate window whose epoch p99
-    /// exceeds `p99_budget` is rejected no matter how much throughput it
+    /// exceeds the budget is rejected no matter how much throughput it
     /// bought ([`GroupForceStats::budget_rejects`] counts these). An
     /// *adopted* window whose epoch drifts over budget is walked back
     /// immediately without waiting for a probe to pay — under open-loop
     /// (arrival-driven) load, latency is a constraint, not an objective.
-    AdaptiveBudget {
+    Adaptive {
         /// Upper bound on the chosen window.
         cap: Duration,
         /// p99 commit-latency budget the controller must stay within.
-        p99_budget: Duration,
+        p99_budget: Option<Duration>,
     },
 }
 
@@ -83,14 +80,15 @@ impl GatherWindow {
     pub fn adaptive() -> Self {
         GatherWindow::Adaptive {
             cap: Self::DEFAULT_CAP,
+            p99_budget: None,
         }
     }
 
     /// The latency-aware adaptive controller with the default cap.
     pub fn adaptive_with_budget(p99_budget: Duration) -> Self {
-        GatherWindow::AdaptiveBudget {
+        GatherWindow::Adaptive {
             cap: Self::DEFAULT_CAP,
-            p99_budget,
+            p99_budget: Some(p99_budget),
         }
     }
 
@@ -104,8 +102,7 @@ impl GatherWindow {
     fn adaptive_params(&self) -> Option<(Duration, Option<Duration>)> {
         match *self {
             GatherWindow::Fixed(_) => None,
-            GatherWindow::Adaptive { cap } => Some((cap, None)),
-            GatherWindow::AdaptiveBudget { cap, p99_budget } => Some((cap, Some(p99_budget))),
+            GatherWindow::Adaptive { cap, p99_budget } => Some((cap, p99_budget)),
         }
     }
 }
@@ -133,7 +130,7 @@ pub struct GroupForceStats {
     pub window_shrinks: u64,
     /// Probes that measurably improved the covered-commit rate but were
     /// rejected because the epoch's p99 commit latency broke the
-    /// [`GatherWindow::AdaptiveBudget`] budget, plus budget-driven
+    /// [`GatherWindow::Adaptive`] `p99_budget`, plus budget-driven
     /// walk-backs of an adopted window.
     pub budget_rejects: u64,
 }
@@ -674,9 +671,7 @@ impl<R: Clone> LogStore<R> {
             g.forcing = true;
             let win = match window {
                 GatherWindow::Fixed(d) => d,
-                GatherWindow::Adaptive { cap } | GatherWindow::AdaptiveBudget { cap, .. } => {
-                    g.adaptive.current(cap)
-                }
+                GatherWindow::Adaptive { cap, .. } => g.adaptive.current(cap),
             };
             if win > Duration::ZERO && max_waiters > 1 {
                 let deadline = std::time::Instant::now() + win;
@@ -756,7 +751,7 @@ impl<R: Clone> LogStore<R> {
     /// decays to zero (and probing goes quiet) whenever waiting does
     /// not pay.
     ///
-    /// With a `budget` ([`GatherWindow::AdaptiveBudget`]) the objective
+    /// With a `budget` ([`GatherWindow::Adaptive`]'s `p99_budget`) the objective
     /// becomes *latency-aware*: each epoch also measures the p99 of
     /// commit gather+flush latency, a probe whose epoch breaks the
     /// budget is rejected even when its covered-commit rate improved,

@@ -11,7 +11,7 @@
 //!   *stream group* positioned at the commit-record LSN; an `Abort`
 //!   discards them (rolled-back work is never shipped, so a replica can
 //!   never serve dirty or rolled-back data); a `RedoOnly` record
-//!   (rollback compensation or post-commit version promotion) is
+//!   (rollback compensation or post-commit version stamp) is
 //!   emitted immediately at its own LSN. Lock-before-log ordering
 //!   guarantees that conflicting operations appear in the stream in
 //!   their serialization order: strict two-phase locking means a
@@ -128,6 +128,11 @@ impl Shipper {
     /// one primary; promotion extends the lineage). The replica must be
     /// no staler than the TC log's base — register replicas before the
     /// first truncating checkpoint, or re-seed them first.
+    /// Forget every replica (and the link to it).
+    pub(crate) fn detach(&self) {
+        self.inner.lock().replicas.clear();
+    }
+
     pub(crate) fn register(&self, replica: DcId, sources: &[DcId], link: Arc<dyn DcLink>) {
         let mut g = self.inner.lock();
         g.replicas.insert(
@@ -239,7 +244,7 @@ impl Shipper {
                 g.pending.entry(txn).or_default().push((lsn, dc, op));
             }
             TcLogRecord::RedoOnly { dc, op, .. } => {
-                // Compensations and promotions are shippable the moment
+                // Compensations and commit stamps are shippable the moment
                 // they are stable: a compensation's original may never
                 // have shipped (uncommitted work is withheld), in which
                 // case replaying the inverse is a deterministic no-op or

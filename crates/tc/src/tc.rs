@@ -124,8 +124,6 @@ pub(crate) struct TxnState {
     /// Values known under lock: (table, key) → payload (None = absent).
     /// This is where undo information for updates/deletes comes from.
     pub(crate) cache: HashMap<(TableId, Key), Option<Vec<u8>>>,
-    /// Versioned writes requiring post-commit promotion.
-    pub(crate) promotes: Vec<(DcId, TableId, Key)>,
     /// Last write operation LSN per key this transaction mutated — the
     /// version each commit stamp targets (earlier same-transaction
     /// writes are dead the moment they are displaced and are never
@@ -321,6 +319,16 @@ impl Tc {
     /// Wire a DC.
     pub fn register_dc(&self, dc: DcId, link: Arc<dyn DcLink>) {
         self.links.write().insert(dc, link);
+    }
+
+    /// Drop every DC link, replica link and peer TC handle. A link
+    /// reaches its TC again through the transport's reply sink, and peer
+    /// shards refer to each other, so whoever tears a deployment down
+    /// calls this to let the TCs be freed.
+    pub fn detach(&self) {
+        self.links.write().clear();
+        self.shipper.detach();
+        self.peers.write().clear();
     }
 
     /// Re-install a past failover alias on a rebuilt TC (deployment
@@ -701,7 +709,6 @@ impl Tc {
             undo: Vec::new(),
             touched: HashSet::new(),
             cache: HashMap::new(),
-            promotes: Vec::new(),
             writes: HashMap::new(),
             snapshot: None,
             remotes: HashSet::new(),
@@ -849,18 +856,8 @@ impl Tc {
             | (ScanProtocol::FetchAhead { .. }, LogicalOp::VersionedWrite { .. }) => {
                 // Next-key (instant) lock: serializes against scans that
                 // locked the edge of the gap this insert lands in.
-                let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
-                let probe = LogicalOp::ProbeKeys {
-                    table,
-                    from: key.successor(),
-                    count: 1,
-                };
-                let next = match self.send_op(dc, req, &probe, false)? {
-                    Ok(OpResult::Keys(keys)) => keys.into_iter().next(),
-                    Ok(other) => panic!("probe returned {other:?}"),
-                    Err(e) => return Err(TcError::OperationFailed(txn, e)),
-                };
-                let name = Self::edge_lock(table, next.as_ref());
+                let next = self.probe(txn, dc, table, &key.successor(), 1)?;
+                let name = Self::edge_lock(table, next.first());
                 self.lock_or_abort(txn, name.clone(), LockMode::X)?;
                 self.locks.unlock(Self::token(txn), &name); // instant duration
             }
@@ -904,10 +901,7 @@ impl Tc {
                     _ => None,
                 };
                 g.cache.insert((table, key.clone()), cached);
-                g.writes.insert((dc, table, key.clone()), lsn);
-                if matches!(op, LogicalOp::VersionedWrite { .. }) {
-                    g.promotes.push((dc, table, key));
-                }
+                g.writes.insert((dc, table, key), lsn);
                 Ok(())
             }
             Err(e) => {
@@ -946,8 +940,8 @@ impl Tc {
     }
 
     /// Versioned insert-or-update on a versioned table (cross-TC
-    /// read-committed sharing, Section 6.2.2). Promoted on commit,
-    /// reverted on abort.
+    /// read-committed sharing, Section 6.2.2). Published by the commit
+    /// stamp, reverted by the DC on abort.
     pub fn versioned_write(
         &self,
         txn: TxnId,
@@ -1065,22 +1059,16 @@ impl Tc {
         at: Lsn,
     ) -> Result<Option<Vec<u8>>, TcError> {
         TcStats::bump(&self.stats.snapshot_reads);
-        self.unlocked_read(table, key, ReadFlavor::Snapshot(at))
+        self.read_unlocked(table, key, ReadFlavor::Snapshot(at))
     }
 
-    /// Lock-free read of *committed* data via versioning (Section 6.2.2:
-    /// "Readers are never blocked"). Usable from any TC sharing the DC.
-    pub fn read_committed(&self, table: TableId, key: Key) -> Result<Option<Vec<u8>>, TcError> {
-        self.unlocked_read(table, key, ReadFlavor::Committed)
-    }
-
-    /// Lock-free dirty read (Section 6.2.1): sees uncommitted but always
-    /// operation-atomic ("well formed") data.
-    pub fn read_dirty(&self, table: TableId, key: Key) -> Result<Option<Vec<u8>>, TcError> {
-        self.unlocked_read(table, key, ReadFlavor::Latest)
-    }
-
-    fn unlocked_read(
+    /// Lock-free point read outside any transaction, the point-read twin
+    /// of [`Tc::scan_unlocked`]. [`ReadFlavor::Committed`] reads
+    /// committed data via versioning (Section 6.2.2: "Readers are never
+    /// blocked"), usable from any TC sharing the DC;
+    /// [`ReadFlavor::Latest`] is a dirty read (Section 6.2.1): possibly
+    /// uncommitted, but always operation-atomic ("well formed").
+    pub fn read_unlocked(
         &self,
         table: TableId,
         key: Key,
@@ -1151,44 +1139,12 @@ impl Tc {
                 for part in p.partitions_overlapping(&low, high.as_ref()) {
                     self.lock_or_abort(txn, LockName::Range(table, part), LockMode::S)?;
                 }
-                self.scan_locked_range(txn, table, &low, high.as_ref(), limit)
+                self.scan_unlocked(table, low, high, limit, ReadFlavor::Latest)
             }
             ScanProtocol::FetchAhead { batch } => {
                 self.scan_fetch_ahead(txn, table, &low, high.as_ref(), limit, batch)
             }
         }
-    }
-
-    fn scan_locked_range(
-        &self,
-        _txn: TxnId,
-        table: TableId,
-        low: &Key,
-        high: Option<&Key>,
-        limit: Option<usize>,
-    ) -> Result<Vec<(Key, Vec<u8>)>, TcError> {
-        let route = self.route(table)?;
-        let mut out = Vec::new();
-        for dc in route.dcs_for_range(low, high) {
-            let remaining = limit.map(|l| l.saturating_sub(out.len()));
-            if remaining == Some(0) {
-                break;
-            }
-            let req = RequestId::Read(self.next_read.fetch_add(1, Ordering::Relaxed));
-            let op = LogicalOp::ScanRange {
-                table,
-                low: low.clone(),
-                high: high.cloned(),
-                limit: remaining,
-                flavor: ReadFlavor::Latest,
-            };
-            match self.send_op(dc, req, &op, false)? {
-                Ok(OpResult::Entries(e)) => out.extend(e),
-                Ok(other) => panic!("scan returned {other:?}"),
-                Err(e) => return Err(TcError::OperationFailed(TxnId(0), e)),
-            }
-        }
-        Ok(out)
     }
 
     /// The fetch-ahead protocol (Section 3.1): probe keys speculatively,
@@ -1213,7 +1169,7 @@ impl Tc {
                 // Probe + lock until stable (bounded retries).
                 let mut retries = 0;
                 let keys = loop {
-                    let keys = self.probe(dc, table, &from, batch)?;
+                    let keys = self.probe(txn, dc, table, &from, batch)?;
                     for k in &keys {
                         let in_range = high.map(|h| k < h).unwrap_or(true);
                         let name = if in_range {
@@ -1233,7 +1189,7 @@ impl Tc {
                     }
                     // Verify the speculation: the key set must not have
                     // changed between probe and locks.
-                    let again = self.probe(dc, table, &from, batch)?;
+                    let again = self.probe(txn, dc, table, &from, batch)?;
                     if again == keys {
                         break keys;
                     }
@@ -1277,8 +1233,10 @@ impl Tc {
         Ok(out)
     }
 
+    /// Speculative key probe: up to `count` existing keys `>= from`.
     fn probe(
         &self,
+        txn: TxnId,
         dc: DcId,
         table: TableId,
         from: &Key,
@@ -1293,7 +1251,7 @@ impl Tc {
         match self.send_op(dc, req, &op, false)? {
             Ok(OpResult::Keys(keys)) => Ok(keys),
             Ok(other) => panic!("probe returned {other:?}"),
-            Err(e) => Err(TcError::OperationFailed(TxnId(0), e)),
+            Err(e) => Err(TcError::OperationFailed(txn, e)),
         }
     }
 
@@ -1302,7 +1260,7 @@ impl Tc {
     // ------------------------------------------------------------------
 
     /// Commit: force the commit record (durability) — solo or via group
-    /// commit — then run post-commit version promotions, then release
+    /// commit — then send the post-commit version stamps, then release
     /// locks. A transaction with branches at other TC shards goes
     /// through two-phase commit over the shards' redo logs instead (the
     /// forced [`TcLogRecord::CommitDecision`] is its commit point).
@@ -1364,7 +1322,7 @@ impl Tc {
         // neither locks nor a log force.
         let read_only = {
             let g = st.lock();
-            g.undo.is_empty() && g.writes.is_empty() && g.promotes.is_empty()
+            g.undo.is_empty() && g.writes.is_empty()
         };
         if read_only {
             self.log_bookkeeping(TcLogRecord::Commit { txn });
@@ -1376,19 +1334,20 @@ impl Tc {
             return Ok(());
         }
         let commit_lsn = self.log_bookkeeping(TcLogRecord::Commit { txn });
-        // MVCC: stamp records are logged *before* the force so one flush
-        // covers the commit record and the stamps, and sent *after* it
-        // (write-ahead). Delivery is synchronous and happens while the
-        // transaction still holds its X locks, so once `commit` returns,
-        // any snapshot at or above the stable LSN observes this
-        // transaction — and no snapshot can observe it partially.
+        // Stamp records are logged *before* the force so one flush covers
+        // the commit record and the stamps, and sent *after* it
+        // (write-ahead). The stamps publish the transaction's versions to
+        // snapshot and read-committed readers (Section 6.2.2); recovery
+        // resends them, or synthesizes them from the commit record.
+        // Delivery is synchronous and happens while the transaction still
+        // holds its X locks, so once `commit` returns, any snapshot at or
+        // above the stable LSN observes this transaction — and no
+        // snapshot can observe it partially. Single-shard transactions
+        // need no 2PC: once the commit record is stable the transaction
+        // IS committed.
         let stamps = self.log_stamps(txn, st, commit_lsn);
         self.force_commit(self.log.last());
         self.send_stamps(&stamps)?;
-        // Eliminate before-versions (Section 6.2.2) — logged redo-only so
-        // recovery finishes the job if we crash mid-way. Single-shard
-        // transactions need no 2PC: once the commit record is stable the
-        // transaction IS committed.
         self.finish_commit_local(txn, st)
     }
 
@@ -1439,30 +1398,13 @@ impl Tc {
     }
 
     /// Post-commit-point work shared by single-shard commit, cross-TC
-    /// coordinator commit and participant decision-apply: version
-    /// promotions, lock release, state removal.
+    /// coordinator commit and participant decision-apply (all of which
+    /// have already sent their stamps): lock release, state removal.
     pub(crate) fn finish_commit_local(
         &self,
         txn: TxnId,
         st: &Arc<Mutex<TxnState>>,
     ) -> Result<(), TcError> {
-        let promotes = std::mem::take(&mut st.lock().promotes);
-        let had_promotes = !promotes.is_empty();
-        for (dc, table, key) in promotes {
-            let op = LogicalOp::PromoteVersion { table, key };
-            let l = self.log_op_record(TcLogRecord::RedoOnly {
-                txn,
-                dc,
-                op: op.clone(),
-            });
-            let _ = self.send_op(dc, RequestId::Op(l), &op, false)?;
-        }
-        if had_promotes {
-            // Make the promotions durable; recovery also re-derives them
-            // from the committed VersionedWrite records, closing the
-            // remaining window.
-            self.force_commit(self.log.last());
-        }
         self.locks.unlock_all(Self::token(txn));
         self.release_pin(st);
         self.txns.lock().remove(&txn);
@@ -1510,11 +1452,7 @@ impl Tc {
         // branch before (or regardless of) the local undo — presumed
         // abort, so a participant that never hears this still resolves
         // correctly by asking.
-        let remotes: Vec<TcId> = {
-            let mut g = st.lock();
-            g.promotes.clear();
-            std::mem::take(&mut g.remotes).into_iter().collect()
-        };
+        let remotes: Vec<TcId> = std::mem::take(&mut st.lock().remotes).into_iter().collect();
         for r in remotes {
             if let Some(peer) = self.peer_tc(r) {
                 peer.decide_participant(self.id, txn, false);

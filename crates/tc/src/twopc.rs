@@ -553,7 +553,7 @@ impl Tc {
     }
 
     /// Phase two, step two: broadcast the decision, then finish locally
-    /// (version promotions, lock release).
+    /// (lock release).
     #[doc(hidden)]
     pub fn twopc_finish(&self, txn: TxnId) -> Result<(), TcError> {
         self.ensure_available()?;
@@ -645,7 +645,6 @@ impl Tc {
     /// `resolve_indoubt`) arrives. The inverse ops name every key the
     /// branch wrote; re-locking them restores the isolation the branch
     /// held before the crash.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn park_indoubt_recovered(
         &self,
         local: TxnId,
@@ -653,7 +652,6 @@ impl Tc {
         gtxn: TxnId,
         first_lsn: Lsn,
         chain: &[(Lsn, DcId, LogicalOp)],
-        promotes: Vec<(DcId, TableId, Key)>,
     ) {
         let token = Self::token(local);
         for (_, _, inv) in chain {
@@ -666,17 +664,6 @@ impl Tc {
                     self.locks
                         .lock(token, LockName::Record(table, k.clone()), LockMode::X, None);
             }
-        }
-        for (_, table, key) in &promotes {
-            let _ = self
-                .locks
-                .lock(token, LockName::Table(*table), LockMode::IX, None);
-            let _ = self.locks.lock(
-                token,
-                LockName::Record(*table, key.clone()),
-                LockMode::X,
-                None,
-            );
         }
         // Re-derive the branch's last-write-per-key map so a commit
         // decision arriving after the crash still stamps the branch's
@@ -693,7 +680,6 @@ impl Tc {
         let shard_points: HashSet<u64> = chain
             .iter()
             .filter_map(|(_, _, inv)| inv.point_key())
-            .chain(promotes.iter().map(|(_, _, k)| k))
             .map(unbundled_core::route_point)
             .collect();
         let st = TxnState {
@@ -705,7 +691,6 @@ impl Tc {
                 .collect(),
             touched: chain.iter().map(|(_, dc, _)| *dc).collect(),
             cache: HashMap::new(),
-            promotes,
             writes,
             snapshot: None,
             remotes: HashSet::new(),

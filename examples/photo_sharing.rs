@@ -206,7 +206,9 @@ fn main() {
 
     // Direct probe of exactly-once behaviour on the custom DC: resend a
     // logical operation verbatim; the per-TC abstract LSN suppresses it.
-    let probe = tc.read_dirty(REVIEWS, Key::from_u64(100)).unwrap();
+    let probe = tc
+        .read_unlocked(REVIEWS, Key::from_u64(100), ReadFlavor::Latest)
+        .unwrap();
     assert!(probe.is_some());
     let _ = (
         RequestId::Read(0),

@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 use unbundled::core::{
-    DataComponentApi, DcId, DcToTc, Key, LogicalOp, Lsn, RequestId, TableId, TableSpec, TcId,
-    TcToDc,
+    DataComponentApi, DcId, DcToTc, Key, LogicalOp, Lsn, ReadFlavor, RequestId, TableId, TableSpec,
+    TcId, TcToDc,
 };
 use unbundled::dc::{DcConfig, DcServer};
 use unbundled::kernel::{single, Deployment, FaultModel, TransportKind};
@@ -63,8 +63,16 @@ fn multi_dc_abort_undoes_on_both_dcs() {
     tc.insert(txn, T, Key::from_u64(9), b"a".to_vec()).unwrap();
     tc.insert(txn, T2, Key::from_u64(9), b"b".to_vec()).unwrap();
     tc.abort(txn).unwrap();
-    assert_eq!(tc.read_dirty(T, Key::from_u64(9)).unwrap(), None);
-    assert_eq!(tc.read_dirty(T2, Key::from_u64(9)).unwrap(), None);
+    assert_eq!(
+        tc.read_unlocked(T, Key::from_u64(9), ReadFlavor::Latest)
+            .unwrap(),
+        None
+    );
+    assert_eq!(
+        tc.read_unlocked(T2, Key::from_u64(9), ReadFlavor::Latest)
+            .unwrap(),
+        None
+    );
 }
 
 #[test]
@@ -221,11 +229,16 @@ fn dirty_read_sees_uncommitted_plain_writes() {
         .unwrap();
     // Section 6.2.1: dirty reads need no locks and no versioning support.
     assert_eq!(
-        tc.read_dirty(T, Key::from_u64(1)).unwrap(),
+        tc.read_unlocked(T, Key::from_u64(1), ReadFlavor::Latest)
+            .unwrap(),
         Some(b"dirty".to_vec())
     );
     tc.abort(txn).unwrap();
-    assert_eq!(tc.read_dirty(T, Key::from_u64(1)).unwrap(), None);
+    assert_eq!(
+        tc.read_unlocked(T, Key::from_u64(1), ReadFlavor::Latest)
+            .unwrap(),
+        None
+    );
 }
 
 #[test]
@@ -661,7 +674,10 @@ fn read_committed_roundtrip_on_shared_deployment() {
         })
     };
     while !writer.is_finished() {
-        if let Some(v) = tc.read_committed(T, Key::from_u64(1)).unwrap() {
+        if let Some(v) = tc
+            .read_unlocked(T, Key::from_u64(1), ReadFlavor::Committed)
+            .unwrap()
+        {
             let s = String::from_utf8(v).unwrap();
             assert!(
                 s.starts_with("committed-"),
@@ -674,7 +690,7 @@ fn read_committed_roundtrip_on_shared_deployment() {
     // before this thread ever observes a version); the final committed
     // version must be visible unconditionally.
     let last = tc
-        .read_committed(T, Key::from_u64(1))
+        .read_unlocked(T, Key::from_u64(1), ReadFlavor::Committed)
         .unwrap()
         .expect("final version visible");
     assert_eq!(last, b"committed-49".to_vec());

@@ -1,10 +1,12 @@
 //! End-to-end integration tests: full transactions across the TC:DC
 //! boundary, over both transports, with crash injection.
 
-use unbundled::core::{DcId, Key, TableId, TableSpec, TcError, TcId};
+use unbundled::core::{DcId, Key, ReadFlavor, TableId, TableSpec, TcError, TcId, TcShardMap};
 use unbundled::dc::DcConfig;
 use unbundled::kernel::{single, Deployment, FaultModel, TransportKind};
-use unbundled::tc::{RangePartitioner, ReadConsistency, ScanProtocol, TcConfig};
+use unbundled::tc::{
+    RangePartitioner, ReadConsistency, ScanProtocol, TableRoute, TcConfig, TcLogRecord,
+};
 
 const T: TableId = TableId(1);
 
@@ -477,7 +479,8 @@ fn works_across_queued_transport_with_delay() {
     tc.insert(t, T, Key::from_u64(1), b"v".to_vec()).unwrap();
     tc.commit(t).unwrap();
     assert_eq!(
-        tc.read_dirty(T, Key::from_u64(1)).unwrap(),
+        tc.read_unlocked(T, Key::from_u64(1), ReadFlavor::Latest)
+            .unwrap(),
         Some(b"v".to_vec())
     );
 }
@@ -501,16 +504,19 @@ fn versioned_sharing_read_committed_vs_dirty() {
         .unwrap();
     // Readers never block; committed sees v1, dirty sees v2.
     assert_eq!(
-        tc.read_committed(T, Key::from_u64(1)).unwrap(),
+        tc.read_unlocked(T, Key::from_u64(1), ReadFlavor::Committed)
+            .unwrap(),
         Some(b"v1".to_vec())
     );
     assert_eq!(
-        tc.read_dirty(T, Key::from_u64(1)).unwrap(),
+        tc.read_unlocked(T, Key::from_u64(1), ReadFlavor::Latest)
+            .unwrap(),
         Some(b"v2-pending".to_vec())
     );
     tc.commit(t1).unwrap();
     assert_eq!(
-        tc.read_committed(T, Key::from_u64(1)).unwrap(),
+        tc.read_unlocked(T, Key::from_u64(1), ReadFlavor::Committed)
+            .unwrap(),
         Some(b"v2-pending".to_vec())
     );
     // Abort path restores the committed version.
@@ -519,9 +525,196 @@ fn versioned_sharing_read_committed_vs_dirty() {
         .unwrap();
     tc.abort(t2).unwrap();
     assert_eq!(
-        tc.read_committed(T, Key::from_u64(1)).unwrap(),
+        tc.read_unlocked(T, Key::from_u64(1), ReadFlavor::Committed)
+            .unwrap(),
         Some(b"v2-pending".to_vec())
     );
+}
+
+fn versioned(kind: TransportKind) -> Deployment {
+    single(
+        TcConfig::default(),
+        DcConfig::default(),
+        kind,
+        &[TableSpec::versioned(T, "shared")],
+    )
+}
+
+/// T1 commits `v0` then `v1`, loser T2 writes `v2-loser` and reaches the
+/// stable log, then `crash` runs. After recovery both read-committed and
+/// dirty readers must see `v1`: the loser's revert has to find T1's
+/// committed version even though recovery redoes T1's stamps first.
+fn loser_versioned_write_is_undone(crash: impl Fn(&Deployment)) {
+    let d = versioned(TransportKind::Inline);
+    let tc = d.tc(TcId(1));
+    let k = Key::from_u64(1);
+    let t1 = tc.begin().unwrap();
+    tc.versioned_write(t1, T, k.clone(), b"v0".to_vec())
+        .unwrap();
+    tc.versioned_write(t1, T, k.clone(), b"v1".to_vec())
+        .unwrap();
+    tc.commit(t1).unwrap();
+    let t2 = tc.begin().unwrap();
+    tc.versioned_write(t2, T, k.clone(), b"v2-loser".to_vec())
+        .unwrap();
+    tc.force_and_publish();
+    crash(&d);
+    let tc = d.tc(TcId(1));
+    for flavor in [ReadFlavor::Committed, ReadFlavor::Latest] {
+        assert_eq!(
+            tc.read_unlocked(T, k.clone(), flavor).unwrap(),
+            Some(b"v1".to_vec()),
+            "{flavor:?} read after recovery"
+        );
+    }
+}
+
+#[test]
+fn loser_versioned_write_does_not_survive_tc_crash() {
+    loser_versioned_write_is_undone(|d| {
+        d.crash_tc(TcId(1));
+        d.reboot_tc(TcId(1));
+    });
+}
+
+#[test]
+fn loser_versioned_write_does_not_survive_total_crash() {
+    loser_versioned_write_is_undone(|d| {
+        d.crash_all();
+        d.reboot_all();
+    });
+}
+
+#[test]
+fn versioned_commit_forces_the_log_once() {
+    let d = versioned(TransportKind::Inline);
+    let tc = d.tc(TcId(1));
+    let log = d.tc_log(TcId(1));
+    let t = tc.begin().unwrap();
+    for k in 1..=3u64 {
+        tc.versioned_write(t, T, Key::from_u64(k), b"v".to_vec())
+            .unwrap();
+    }
+    let epoch = log.force_epoch();
+    let from = tc.log_handle().last().0;
+    tc.commit(t).unwrap();
+    assert_eq!(log.force_epoch(), epoch + 1, "one force per commit");
+    let redo_only: Vec<&'static str> = log
+        .read_all_volatile()
+        .into_iter()
+        .filter(|(seq, _)| *seq > from)
+        .filter_map(|(_, rec)| match rec {
+            TcLogRecord::RedoOnly { op, .. } => Some(op.name()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        redo_only, ["stamp"; 3],
+        "the commit's only redo-only records"
+    );
+}
+
+#[test]
+fn owner_change_keeps_committed_value_visible_until_the_new_owner_commits() {
+    let mut d = Deployment::new();
+    d.add_dc(DcId(1), DcConfig::default());
+    for id in [TcId(1), TcId(2)] {
+        d.add_tc(id, TcConfig::default());
+        d.connect(id, DcId(1), TransportKind::Inline);
+    }
+    d.create_table(DcId(1), TableSpec::versioned(T, "shared"));
+    for id in [TcId(1), TcId(2)] {
+        d.route(id, T, TableRoute::Single(DcId(1)));
+    }
+    let (tc1, tc2) = (d.tc(TcId(1)), d.tc(TcId(2)));
+    let k = Key::from_u64(1);
+    let committed = |want: &[u8]| {
+        for tc in [&tc1, &tc2] {
+            assert_eq!(
+                tc.read_unlocked(T, k.clone(), ReadFlavor::Committed)
+                    .unwrap(),
+                Some(want.to_vec()),
+                "read committed at TC {}",
+                tc.id()
+            );
+        }
+    };
+    let t = tc1.begin().unwrap();
+    tc1.versioned_write(t, T, k.clone(), b"tc1".to_vec())
+        .unwrap();
+    tc1.commit(t).unwrap();
+    // TC 2 takes the record over: its pending write stays invisible.
+    let t = tc2.begin().unwrap();
+    tc2.versioned_write(t, T, k.clone(), b"tc2-doomed".to_vec())
+        .unwrap();
+    committed(b"tc1");
+    assert_eq!(
+        tc1.read_unlocked(T, k.clone(), ReadFlavor::Latest).unwrap(),
+        Some(b"tc2-doomed".to_vec())
+    );
+    tc2.abort(t).unwrap();
+    committed(b"tc1");
+    assert_eq!(
+        tc1.read_unlocked(T, k.clone(), ReadFlavor::Latest).unwrap(),
+        Some(b"tc1".to_vec()),
+        "abort brings TC 1's value back"
+    );
+    let t = tc2.begin().unwrap();
+    tc2.versioned_write(t, T, k.clone(), b"tc2".to_vec())
+        .unwrap();
+    committed(b"tc1");
+    tc2.commit(t).unwrap();
+    committed(b"tc2");
+}
+
+/// Dropping a deployment frees its TCs: the TC → link → reply sink → TC
+/// and TC ↔ TC peer cycles are broken at teardown.
+fn drop_frees_every_tc(d: Deployment) {
+    let tcs: Vec<_> = d
+        .tc_ids()
+        .into_iter()
+        .map(|id| std::sync::Arc::downgrade(&d.tc(id)))
+        .collect();
+    drop(d);
+    for tc in tcs {
+        assert!(tc.upgrade().is_none(), "a TC outlived its deployment");
+    }
+}
+
+#[test]
+fn dropping_an_inline_deployment_frees_the_tc() {
+    drop_frees_every_tc(basic(TransportKind::Inline));
+}
+
+#[test]
+fn dropping_a_queued_deployment_frees_the_tc() {
+    drop_frees_every_tc(basic(TransportKind::Queued {
+        faults: FaultModel::default(),
+        workers: 2,
+        batch: 4,
+    }));
+}
+
+#[test]
+fn dropping_a_sharded_deployment_frees_both_tcs() {
+    let mut d = Deployment::new();
+    for (tc, dc) in [(TcId(1), DcId(1)), (TcId(2), DcId(2))] {
+        d.add_dc(dc, DcConfig::default());
+        d.add_tc(tc, TcConfig::default());
+        d.connect(tc, dc, TransportKind::Inline);
+        d.create_table(dc, TableSpec::plain(T, "t"));
+        d.route(tc, T, TableRoute::Single(dc));
+    }
+    d.set_shard_map(TcShardMap::even(&[TcId(1), TcId(2)]));
+    // A cross-shard transaction exercises the peer handles first.
+    let tc = d.tc(TcId(1));
+    let t = tc.begin().unwrap();
+    tc.insert(t, T, Key::from_u64(7), b"lo".to_vec()).unwrap();
+    tc.insert(t, T, Key::from_u64(u64::MAX / 2 + 1000), b"hi".to_vec())
+        .unwrap();
+    tc.commit(t).unwrap();
+    drop(tc);
+    drop_frees_every_tc(d);
 }
 
 #[test]
