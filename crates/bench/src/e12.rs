@@ -165,8 +165,9 @@ fn run_read_mix(replicas: usize, readers: usize, per_reader: u64, stale_probes: 
     // wait for the frontier to cover it, then a token-routed read must
     // see a payload at least as new. Routing makes this structural
     // (stale replicas are skipped; the primary fallback is a snapshot
-    // read at the stable LSN, which covers the forced commit), so any
-    // violation is a real bug.
+    // read at the snapshot position, which covers the commit once its
+    // stamps are delivered and no older commit is in flight — the sweep
+    // runs alone), so any violation is a real bug.
     let mut violations = 0u64;
     let probe_key = Key::from_u64(0);
     for i in 1..=stale_probes {

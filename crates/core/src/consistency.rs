@@ -14,8 +14,10 @@ use crate::lsn::Lsn;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotSpec {
     /// Pin the transaction's snapshot at its first snapshot read (the
-    /// TC's stable LSN at that moment) and reuse it for every later
-    /// snapshot read — repeatable reads within the transaction.
+    /// TC's snapshot position at that moment: its stable LSN, held
+    /// below any commit whose stamps are still in flight) and reuse it
+    /// for every later snapshot read — repeatable reads within the
+    /// transaction.
     Pinned,
     /// Read at an explicit LSN (e.g. a position captured earlier via
     /// [`stable position`](crate::lsn::Lsn) bookkeeping). Positions
@@ -23,8 +25,8 @@ pub enum SnapshotSpec {
     /// best-effort: garbage collection may have pruned the exact
     /// version.
     At(Lsn),
-    /// Read at the TC's stable LSN *now*: sees every commit whose
-    /// stamp is durable, without pinning.
+    /// Read at the TC's snapshot position *now*: sees every commit
+    /// whose stamps were delivered, without pinning.
     Fresh,
 }
 
@@ -48,11 +50,11 @@ pub enum ReadConsistency {
     Snapshot(SnapshotSpec),
     /// Any replica whose replication lag is within `n` LSNs of the
     /// primary's stable position; falls back to a primary snapshot
-    /// read at the stable LSN when no replica qualifies.
+    /// read at the snapshot position when no replica qualifies.
     BoundedLag(u64),
     /// Any replica that has applied at least `lsn` (read-your-writes:
     /// pass the stable position observed after your commit); falls
-    /// back to a primary snapshot read at the stable LSN.
+    /// back to a primary snapshot read at the snapshot position.
     AtLeast(Lsn),
 }
 

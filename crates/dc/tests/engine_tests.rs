@@ -634,6 +634,64 @@ fn selective_reset_preserves_other_tcs_records() {
 }
 
 #[test]
+fn selective_reset_undoes_a_lost_delete_of_another_tcs_record() {
+    let cfg = DcConfig {
+        reset_mode: ResetMode::Selective,
+        ..Default::default()
+    };
+    let fx = Fixture::new(cfg);
+    let (tc1, tc2) = (TcId(1), TcId(2));
+    let key = Key::from_u64(7);
+    // TC1's insert is committed, stamped, covered by its EOSL and
+    // flushed: the stable basis credits the record to TC1.
+    let insert = LogicalOp::Insert {
+        table: T,
+        key: key.clone(),
+        value: b"tc1".to_vec(),
+    };
+    fx.engine
+        .perform(tc1, RequestId::Op(Lsn(1)), &insert)
+        .unwrap();
+    let stamp = LogicalOp::StampCommit {
+        table: T,
+        key: key.clone(),
+        op: Lsn(1),
+        commit: Lsn(2),
+    };
+    fx.engine
+        .perform(tc1, RequestId::Op(Lsn(2)), &stamp)
+        .unwrap();
+    fx.engine.handle_eosl(tc1, Lsn(2));
+    fx.engine.handle_lwm(tc1, Lsn(2));
+    assert!(fx.engine.flush_all() >= 1);
+    // TC2 deletes it and crashes before forcing anything.
+    let delete = LogicalOp::Delete {
+        table: T,
+        key: key.clone(),
+    };
+    fx.engine
+        .perform(tc2, RequestId::Op(Lsn(1)), &delete)
+        .unwrap();
+    let read = |flavor| {
+        let op = LogicalOp::Read {
+            table: T,
+            key: key.clone(),
+            flavor,
+        };
+        match fx.engine.perform(tc1, RequestId::Read(1), &op).unwrap() {
+            OpResult::Value(v) => v,
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    assert_eq!(read(ReadFlavor::Latest), None);
+    let (pages, _) = fx.engine.reset_for_tc(tc2, Lsn(0));
+    assert_eq!(pages, 1);
+    // The lost delete is gone: the record is TC1's committed one again.
+    assert_eq!(read(ReadFlavor::Latest), Some(b"tc1".to_vec()));
+    assert_eq!(read(ReadFlavor::Committed), Some(b"tc1".to_vec()));
+}
+
+#[test]
 fn eviction_respects_pool_capacity() {
     let mut cfg = Fixture::small_pages();
     cfg.pool_capacity = 4;

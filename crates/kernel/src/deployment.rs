@@ -400,11 +400,6 @@ impl Deployment {
         self.dcs[&id].server.lock().clone()
     }
 
-    /// The DC's stable disk (experiment accounting).
-    pub fn dc_disk(&self, id: DcId) -> &SimDisk {
-        &self.dcs[&id].disk
-    }
-
     /// The DC's log store (experiment accounting).
     pub fn dc_log(&self, id: DcId) -> &Arc<LogStore<DcLogRecord>> {
         &self.dcs[&id].log

@@ -22,5 +22,5 @@ pub mod log;
 pub mod stats;
 
 pub use disk::SimDisk;
-pub use log::{ForceArbiter, ForceArbiterStats, GatherWindow, GroupForceStats, LogStore, SeqLog};
+pub use log::{ForceArbiter, ForceArbiterStats, GatherWindow, GroupForceStats, LogStore};
 pub use stats::IoStats;

@@ -359,9 +359,6 @@ impl ForceArbiter {
     }
 }
 
-/// Convenience alias used by components that share a log handle.
-pub type SeqLog<R> = Arc<LogStore<R>>;
-
 struct LogInner<R> {
     /// Records with sequence numbers `base + 1 ..= base + records.len()`.
     records: Vec<(R, u32)>,
@@ -519,6 +516,21 @@ impl<R: Clone> LogStore<R> {
         g.records.push((rec, encoded_size as u32));
         self.stats.log_append(encoded_size as u64);
         g.base + g.records.len() as u64
+    }
+
+    /// Append a group of records under one lock hold. `build` receives
+    /// the sequence number the group's first record gets and returns the
+    /// records with their encoded sizes. Every force snapshots the log
+    /// under the same lock, so the group becomes stable — or is lost to
+    /// a crash — as a whole. Returns the first and last sequence numbers.
+    pub fn append_group(&self, build: impl FnOnce(u64) -> Vec<(R, usize)>) -> (u64, u64) {
+        let mut g = self.inner.lock();
+        let first = g.last_seq() + 1;
+        for (rec, size) in build(first) {
+            g.records.push((rec, size as u32));
+            self.stats.log_append(size as u64);
+        }
+        (first, g.last_seq())
     }
 
     /// Make every appended record stable with a synchronous flush: the
@@ -1648,5 +1660,93 @@ mod tests {
         assert_eq!(log.read(2), None);
         assert_eq!(log.force(), 3, "a real flush stabilizes them");
         assert_eq!(log.read(2), Some("recovery-1"));
+    }
+
+    #[test]
+    fn append_group_numbers_from_the_log_end() {
+        let log = LogStore::new();
+        log.append("a", 1);
+        let (first, last) = log.append_group(|first| {
+            assert_eq!(first, 2);
+            vec![("b", 1), ("c", 1)]
+        });
+        assert_eq!((first, last), (2, 3));
+        assert_eq!(log.force(), 3);
+        assert_eq!(log.read_range(1, 3), vec![(1, "a"), (2, "b"), (3, "c")]);
+    }
+
+    /// Records of the group-atomicity storm: `(group, index, group len)`.
+    type Member = (u64, u32, u32);
+
+    fn ends_a_group(log: &LogStore<Member>, seq: u64) -> bool {
+        seq == 0 || log.read(seq).is_some_and(|(_, i, n)| i + 1 == n)
+    }
+
+    /// Group appends race plain forces, group forces and crashes: the
+    /// stable end always falls on a group boundary, and the surviving
+    /// log is a sequence of whole groups.
+    fn group_append_storm(arbiter: Option<Arc<ForceArbiter>>) {
+        use std::sync::atomic::AtomicBool;
+        let log: Arc<LogStore<Member>> = Arc::new(LogStore::new());
+        log.set_force_latency(Duration::from_micros(20));
+        if let Some(a) = arbiter {
+            log.attach_arbiter(a);
+        }
+        let done = Arc::new(AtomicBool::new(false));
+        let appenders: Vec<_> = (0..2u64)
+            .map(|t| {
+                let log = log.clone();
+                std::thread::spawn(move || {
+                    for g in 0..1500u64 {
+                        let id = t << 32 | g;
+                        let len = 1 + (g % 5) as u32;
+                        log.append_group(|_| (0..len).map(|i| ((id, i, len), 1)).collect());
+                    }
+                })
+            })
+            .collect();
+        let background: Vec<_> = (0..3)
+            .map(|role| {
+                let log = log.clone();
+                let done = done.clone();
+                std::thread::spawn(move || {
+                    let mut n = 0u64;
+                    while !done.load(Ordering::Acquire) {
+                        n += 1;
+                        let end = match role {
+                            0 => log.force(),
+                            1 => log.group_force(log.last_seq(), GatherWindow::none(), 4),
+                            _ if n.is_multiple_of(64) => log.crash(),
+                            _ => log.stable_seq(),
+                        };
+                        assert!(ends_a_group(&log, end), "stable end {end} splits a group");
+                    }
+                })
+            })
+            .collect();
+        for h in appenders {
+            h.join().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        for h in background {
+            h.join().unwrap();
+        }
+        assert!(ends_a_group(&log, log.crash()));
+        let mut expect = 0u32;
+        for (seq, (_, i, n)) in log.read_all_stable() {
+            assert_eq!(i, expect, "record {seq} out of group order");
+            expect = if i + 1 == n { 0 } else { i + 1 };
+        }
+        assert_eq!(expect, 0, "the surviving log ends mid-group");
+    }
+
+    #[test]
+    fn forces_and_crashes_never_split_an_appended_group() {
+        group_append_storm(None);
+    }
+
+    #[test]
+    fn arbitrated_forces_never_split_an_appended_group() {
+        group_append_storm(Some(ForceArbiter::new()));
     }
 }

@@ -20,7 +20,7 @@ use crate::tc::{FlagSlot, Tc};
 use crate::tclog::TcLogRecord;
 use crate::twopc::TwopcOutcome;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,19 +35,15 @@ impl Tc {
         let stable_end = self.log.stable();
         let records = self.log.store().read_all_stable();
 
-        // --- Analysis: losers, undo chains, winner stamps, RSSP.
+        // --- Analysis: losers, undo chains, RSSP.
         let mut rssp = Lsn(1);
         let mut losers: HashMap<TxnId, Vec<(Lsn, DcId, LogicalOp)>> = HashMap::new();
-        // MVCC commit stamps. A winner's versions must carry its commit
-        // LSN even if the stamp records were lost with the log tail (a
-        // concurrent force can make the commit record stable before the
-        // stamps are appended): track every live transaction's last
-        // write per key, remember each winner's commit point, collect
-        // the stamps actually present in the log, and synthesize the
-        // missing ones after redo.
+        // Last write per key of every unresolved transaction: a prepared
+        // branch that commits below stamps these versions. A resolved
+        // transaction needs nothing — its commit record and its stamps
+        // were appended as one log group, so they are stable together
+        // and the redo pass resends the stamps.
         let mut wtrack: HashMap<TxnId, HashMap<(DcId, TableId, Key), Lsn>> = HashMap::new();
-        let mut stamp_cands: Vec<(DcId, TableId, Key, Lsn, Lsn)> = Vec::new();
-        let mut stamps_logged: HashSet<(TableId, Key, Lsn)> = HashSet::new();
         // Cross-TC 2PC state: prepared participant branches (in-doubt
         // unless a later resolution record appears), our own retained
         // commit decisions (re-pinned and re-broadcast), and Begin LSNs
@@ -100,16 +96,10 @@ impl Tc {
                         }
                     }
                 }
-                TcLogRecord::Commit { txn } => {
-                    losers.remove(txn);
-                    prepared.remove(txn);
-                    if let Some(w) = wtrack.remove(txn) {
-                        for ((dc, table, key), op_lsn) in w {
-                            stamp_cands.push((dc, table, key, op_lsn, Lsn(*seq)));
-                        }
-                    }
-                }
-                TcLogRecord::Abort { txn } => {
+                TcLogRecord::Commit { txn }
+                | TcLogRecord::Abort { txn }
+                | TcLogRecord::ParticipantCommit { txn }
+                | TcLogRecord::ParticipantAbort { txn } => {
                     losers.remove(txn);
                     prepared.remove(txn);
                     wtrack.remove(txn);
@@ -127,37 +117,14 @@ impl Tc {
                     if !participants.is_empty() {
                         decisions.push((*txn, participants.clone(), Lsn(*seq)));
                     }
-                    if let Some(w) = wtrack.remove(txn) {
-                        for ((dc, table, key), op_lsn) in w {
-                            stamp_cands.push((dc, table, key, op_lsn, Lsn(*seq)));
-                        }
-                    }
-                }
-                TcLogRecord::ParticipantCommit { txn } => {
-                    losers.remove(txn);
-                    prepared.remove(txn);
-                    if let Some(w) = wtrack.remove(txn) {
-                        for ((dc, table, key), op_lsn) in w {
-                            stamp_cands.push((dc, table, key, op_lsn, Lsn(*seq)));
-                        }
-                    }
-                }
-                TcLogRecord::ParticipantAbort { txn } => {
-                    losers.remove(txn);
-                    prepared.remove(txn);
                     wtrack.remove(txn);
                 }
-                TcLogRecord::RebalanceIntent { .. } => {}
+                TcLogRecord::RebalanceIntent { .. } | TcLogRecord::RedoOnly { .. } => {}
                 TcLogRecord::RebalanceDone {
                     lo, hi, to, epoch, ..
                 } => {
                     if rebalance_done.is_none_or(|(_, _, _, e)| *epoch > e) {
                         rebalance_done = Some((*lo, *hi, *to, *epoch));
-                    }
-                }
-                TcLogRecord::RedoOnly { op, .. } => {
-                    if let LogicalOp::StampCommit { table, key, op, .. } = op {
-                        stamps_logged.insert((*table, key.clone(), *op));
                     }
                 }
             }
@@ -190,7 +157,7 @@ impl Tc {
             TxnId,
             TcId,
             TxnId,
-            Vec<((DcId, TableId, Key), Lsn)>,
+            HashMap<(DcId, TableId, Key), Lsn>,
         )> = Vec::new();
         #[allow(clippy::type_complexity)]
         let mut branch_parks: Vec<(TxnId, TcId, TxnId, Lsn, Vec<(Lsn, DcId, LogicalOp)>)> =
@@ -209,10 +176,7 @@ impl Tc {
                     losers.remove(txn);
                     // The branch's versions are stamped at the fresh
                     // ParticipantCommit LSN logged below.
-                    let writes = wtrack
-                        .remove(txn)
-                        .map(|m| m.into_iter().collect())
-                        .unwrap_or_default();
+                    let writes = wtrack.remove(txn).unwrap_or_default();
                     branch_commits.push((*txn, *coord, *gtxn, writes));
                 }
                 TwopcOutcome::InDoubt => {
@@ -256,30 +220,6 @@ impl Tc {
             }
         }
 
-        // --- Synthesize missing commit stamps: a winner whose stamp
-        // records were lost with the log tail (its commit record made
-        // stable by a concurrent force) still gets its versions tagged
-        // with its commit LSN. Stamps present in the log were already
-        // resent by the redo pass above and are skipped here; re-sent
-        // stamps are deterministic no-ops at the DC.
-        for (dc, table, key, op_lsn, commit) in stamp_cands {
-            if stamps_logged.contains(&(table, key.clone(), op_lsn)) {
-                continue;
-            }
-            let op = LogicalOp::StampCommit {
-                table,
-                key,
-                op: op_lsn,
-                commit,
-            };
-            let l = self.log_op_record(TcLogRecord::RedoOnly {
-                txn: TxnId(0),
-                dc,
-                op: op.clone(),
-            });
-            let _ = self.send_op(dc, RequestId::Op(l), &op, true)?;
-        }
-
         // --- Undo losers: inverse operations in reverse LSN order.
         let mut undo_work: Vec<(Lsn, TxnId, DcId, LogicalOp)> = Vec::new();
         for (txn, chain) in &losers {
@@ -307,22 +247,9 @@ impl Tc {
                 self.log_bookkeeping(TcLogRecord::Abort { txn: *txn });
             }
         }
-        for (txn, _, _, writes) in &branch_commits {
-            let commit = self.log_bookkeeping(TcLogRecord::ParticipantCommit { txn: *txn });
-            for ((dc, table, key), op_lsn) in writes {
-                let op = LogicalOp::StampCommit {
-                    table: *table,
-                    key: key.clone(),
-                    op: *op_lsn,
-                    commit,
-                };
-                let l = self.log_op_record(TcLogRecord::RedoOnly {
-                    txn: *txn,
-                    dc: *dc,
-                    op: op.clone(),
-                });
-                let _ = self.send_op(*dc, RequestId::Op(l), &op, true)?;
-            }
+        for (txn, _, _, writes) in &mut branch_commits {
+            let rec = TcLogRecord::ParticipantCommit { txn: *txn };
+            self.commit_point(rec, std::mem::take(writes)).1?;
         }
         self.force_log();
 

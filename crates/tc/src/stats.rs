@@ -336,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn key_sketch_median_and_window() {
+    fn sketch_median_and_window() {
         let k = KeySketch::new(8);
         assert_eq!(k.observed(), 0);
         assert_eq!(k.median_in(0, u64::MAX), None);

@@ -16,7 +16,7 @@ use crate::stats::TcStats;
 use crate::tclog::{TcLogHandle, TcLogRecord};
 use crate::twopc::TcPeer;
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,13 +74,6 @@ pub struct TcConfig {
     /// concurrent committer and EOSL/LWM publication is coalesced to one
     /// broadcast per flush.
     pub group_commit: Option<GroupCommitCfg>,
-    /// Feed every executed mutation's route point into the per-TC
-    /// [`KeySketch`](crate::KeySketch) (one relaxed store per mutation).
-    /// On by default; the sketch is what lets the rebalance policy
-    /// split a hot shard at its observed traffic median. Turn off only
-    /// for microbenchmarks chasing the last nanosecond on an unsharded
-    /// deployment.
-    pub key_sketch: bool,
 }
 
 impl Default for TcConfig {
@@ -92,7 +85,6 @@ impl Default for TcConfig {
             scan_protocol: ScanProtocol::fetch_ahead(),
             force_every: 64,
             group_commit: None,
-            key_sketch: true,
         }
     }
 }
@@ -129,7 +121,7 @@ pub(crate) struct TxnState {
     /// writes are dead the moment they are displaced and are never
     /// stamped; GC reclaims them once their LSN falls under the LWM).
     pub(crate) writes: HashMap<(DcId, TableId, Key), Lsn>,
-    /// Pinned MVCC snapshot: the stable LSN captured at this
+    /// Pinned MVCC snapshot: the snapshot position captured at this
     /// transaction's first [`SnapshotSpec::Pinned`] read and reused for
     /// every later one (repeatable reads within the transaction).
     pub(crate) snapshot: Option<Lsn>,
@@ -184,6 +176,10 @@ pub struct Tc {
     /// covering an in-flight operation, and the DC would suppress its
     /// first delivery as a duplicate.
     alloc: Mutex<()>,
+    /// Commit LSNs whose log group is appended but whose stamps are not
+    /// yet delivered (see [`Tc::commit_point`]). No snapshot position
+    /// reaches one of them.
+    commits_in_flight: Mutex<BTreeSet<u64>>,
     /// Highest EOSL published so far. Group committers whose force was
     /// led by another committer skip the broadcast when the leader's
     /// publication already covers them; holding this lock across the
@@ -259,6 +255,7 @@ impl Tc {
             crashed_prompts: Mutex::new(Vec::new()),
             acks: AckTracker::new(),
             alloc: Mutex::new(()),
+            commits_in_flight: Mutex::new(BTreeSet::new()),
             published: Mutex::new(Lsn(0)),
             next_txn: AtomicU64::new(1),
             next_read: AtomicU64::new(1),
@@ -821,7 +818,12 @@ impl Tc {
                         epoch: self.map_epoch(),
                     });
                 }
-                return self.forward_mutate(txn, &st, owner, op);
+                let remote = |peer: &Tc, expect, epoch| {
+                    peer.remote_mutate(self.id, txn, op.clone(), expect, epoch)
+                };
+                return self.forward(txn, &st, owner, &key, remote, || {
+                    self.mutate(txn, op.clone())
+                });
             }
             // Elastic rebalance: block (bounded) behind a fence over a
             // moving range this op would enter; records the op's shard
@@ -838,9 +840,7 @@ impl Tc {
         // forwarded op re-enters `mutate` at its owner): feed the key
         // sketch the rebalance policy splits by. Traffic-weighted on
         // purpose — every executed mutation is one sample.
-        if self.cfg.key_sketch {
-            self.stats.keys.record(point);
-        }
+        self.stats.keys.record(point);
         let dc = self.route(table)?.dc_for(&key);
 
         // --- Locking, always before the LSN is drawn (OPSR).
@@ -963,11 +963,11 @@ impl Tc {
     ///   primary at the resolved snapshot LSN ([`SnapshotSpec::Pinned`]
     ///   pins the transaction's snapshot at first use). Under a shard
     ///   map, a key owned by another TC shard is served at *that*
-    ///   shard's stable position (LSN spaces are per-shard, so a pinned
-    ///   local LSN is meaningless there).
+    ///   shard's snapshot position (LSN spaces are per-shard, so a
+    ///   pinned local LSN is meaningless there).
     /// * [`ReadConsistency::BoundedLag`] / [`ReadConsistency::AtLeast`]
     ///   — replica read when one covers the required frontier, else a
-    ///   lock-free snapshot read on the primary at the stable LSN
+    ///   lock-free snapshot read on the primary at its snapshot position
     ///   (never an S lock: a contended fallback must not block behind
     ///   writers).
     pub fn read(
@@ -984,11 +984,21 @@ impl Tc {
             ReadConsistency::Snapshot(spec) => {
                 if let Some(owner) = self.shard_owner(&key) {
                     let peer = self.peer_tc(owner).ok_or(TcError::NoSuchTc(owner))?;
-                    let at = peer.log.stable();
-                    return peer.snapshot_read_at(table, key, at);
+                    return peer.fresh_snapshot_read(table, key);
                 }
-                let at = self.resolve_snapshot(&st, spec);
-                self.snapshot_read_at(table, key, at)
+                match spec {
+                    SnapshotSpec::At(at) => self.snapshot_read_at(table, key, at),
+                    SnapshotSpec::Fresh => self.fresh_snapshot_read(table, key),
+                    SnapshotSpec::Pinned => {
+                        // Fixed on first use, released when the
+                        // transaction resolves.
+                        let at = *st
+                            .lock()
+                            .snapshot
+                            .get_or_insert_with(|| self.pin_snapshot());
+                        self.snapshot_read_at(table, key, at)
+                    }
+                }
             }
             ReadConsistency::BoundedLag(lag) => {
                 let required = Lsn(self.log.stable().0.saturating_sub(lag));
@@ -1015,7 +1025,12 @@ impl Tc {
                         epoch: self.map_epoch(),
                     });
                 }
-                return self.forward_read(txn, st, owner, table, key);
+                let remote = |peer: &Tc, expect, epoch| {
+                    peer.remote_read(self.id, txn, table, key.clone(), expect, epoch)
+                };
+                return self.forward(txn, st, owner, &key, remote, || {
+                    self.read(txn, table, key.clone(), ReadConsistency::Locking)
+                });
             }
             // See `mutate`: a false pass re-resolves the owner after a
             // fence this op slept on resolved (the range may have moved).
@@ -1030,29 +1045,48 @@ impl Tc {
         self.known_value(st, dc, table, &key)
     }
 
-    /// Resolve which LSN a snapshot read observes; `Pinned` fixes the
-    /// transaction's snapshot on first use.
-    fn resolve_snapshot(&self, st: &Arc<Mutex<TxnState>>, spec: SnapshotSpec) -> Lsn {
-        match spec {
-            SnapshotSpec::At(l) => l,
-            SnapshotSpec::Fresh => self.log.stable(),
-            SnapshotSpec::Pinned => {
-                let mut g = st.lock();
-                match g.snapshot {
-                    Some(l) => l,
-                    None => {
-                        let l = self.log.stable();
-                        g.snapshot = Some(l);
-                        *self.snapshot_pins.lock().entry(l.0).or_insert(0) += 1;
-                        l
-                    }
-                }
+    /// Pin the snapshot position against version GC and return it. The
+    /// position is the stable log end, held below the oldest commit
+    /// whose stamps are still in flight: a commit becomes stable at its
+    /// force, before its stamps reach the DCs, and a snapshot above it
+    /// would see some of its keys and miss the others. Taken under the
+    /// pin lock: a low-water mark computed after this point sees the
+    /// pin, and one computed before it cannot exceed the position.
+    fn pin_snapshot(&self) -> Lsn {
+        let mut pins = self.snapshot_pins.lock();
+        let in_flight = self.commits_in_flight.lock();
+        let stable = self.log.stable();
+        let at = match in_flight.first() {
+            Some(&commit) => stable.min(Lsn(commit - 1)),
+            None => stable,
+        };
+        drop(in_flight);
+        *pins.entry(at.0).or_insert(0) += 1;
+        at
+    }
+
+    fn unpin_snapshot(&self, at: Lsn) {
+        let mut pins = self.snapshot_pins.lock();
+        if let Some(n) = pins.get_mut(&at.0) {
+            *n -= 1;
+            if *n == 0 {
+                pins.remove(&at.0);
             }
         }
     }
 
+    /// Lock-free read at the snapshot position *now*, pinned while it
+    /// runs: a commit's publication may lift the low-water mark past an
+    /// unpinned position before the read reaches the DC.
+    fn fresh_snapshot_read(&self, table: TableId, key: Key) -> Result<Option<Vec<u8>>, TcError> {
+        let at = self.pin_snapshot();
+        let value = self.snapshot_read_at(table, key, at);
+        self.unpin_snapshot(at);
+        value
+    }
+
     /// Lock-free MVCC snapshot read at an explicit commit-LSN bound.
-    pub(crate) fn snapshot_read_at(
+    fn snapshot_read_at(
         &self,
         table: TableId,
         key: Key,
@@ -1326,70 +1360,90 @@ impl Tc {
         };
         if read_only {
             self.log_bookkeeping(TcLogRecord::Commit { txn });
-            self.locks.unlock_all(Self::token(txn));
-            self.release_pin(st);
-            self.txns.lock().remove(&txn);
-            obs::close_span(st.lock().span, "tc.txn");
-            TcStats::bump(&self.stats.commits);
-            return Ok(());
+            return self.finish_commit_local(txn, st);
         }
-        let commit_lsn = self.log_bookkeeping(TcLogRecord::Commit { txn });
-        // Stamp records are logged *before* the force so one flush covers
-        // the commit record and the stamps, and sent *after* it
-        // (write-ahead). The stamps publish the transaction's versions to
-        // snapshot and read-committed readers (Section 6.2.2); recovery
-        // resends them, or synthesizes them from the commit record.
-        // Delivery is synchronous and happens while the transaction still
-        // holds its X locks, so once `commit` returns, any snapshot at or
-        // above the stable LSN observes this transaction — and no
-        // snapshot can observe it partially. Single-shard transactions
-        // need no 2PC: once the commit record is stable the transaction
-        // IS committed.
-        let stamps = self.log_stamps(txn, st, commit_lsn);
-        self.force_commit(self.log.last());
-        self.send_stamps(&stamps)?;
+        // Single-shard transactions need no 2PC: once the commit record
+        // is stable the transaction IS committed.
+        let writes = std::mem::take(&mut st.lock().writes);
+        self.commit_point(TcLogRecord::Commit { txn }, writes).1?;
         self.finish_commit_local(txn, st)
     }
 
-    /// Log one redo-only [`LogicalOp::StampCommit`] per key this
-    /// transaction wrote (last write per key — displaced intermediates
-    /// are never stamped), tagging the DC-side versions with the
-    /// transaction's commit LSN. Returns the records for the
-    /// post-force send.
-    pub(crate) fn log_stamps(
+    /// The commit point of every commit path: single-shard commit,
+    /// coordinator decision, participant commit and recovery's in-doubt
+    /// branch commits. Appends the commit-family record `rec` and one
+    /// redo-only [`LogicalOp::StampCommit`] per written key as one log
+    /// group, so a stable commit record implies stable stamps. Then it
+    /// forces the group (write-ahead) and sends the stamps, which
+    /// publish the transaction's versions to snapshot and read-committed
+    /// readers (Section 6.2.2). Delivery is synchronous and happens
+    /// while the transaction still holds its X locks, and the commit
+    /// LSN counts as in flight until it is over, so no snapshot observes
+    /// the transaction partially. The commit LSN also stays outstanding
+    /// in the ack tracker until then: the published low-water mark, and
+    /// with it DC version GC, stays below the commit, so a snapshot
+    /// just below it still finds the versions the commit displaced.
+    /// Returns the commit LSN — the record is forced even when a stamp
+    /// fails to arrive — and the delivery outcome.
+    pub(crate) fn commit_point(
         &self,
-        txn: TxnId,
-        st: &Arc<Mutex<TxnState>>,
-        commit: Lsn,
-    ) -> Vec<(DcId, Lsn, LogicalOp)> {
-        let mut writes: Vec<((DcId, TableId, Key), Lsn)> = {
-            let mut g = st.lock();
-            std::mem::take(&mut g.writes).into_iter().collect()
-        };
-        writes.sort_by_key(|&(_, l)| l);
-        let mut out = Vec::with_capacity(writes.len());
-        for ((dc, table, key), op_lsn) in writes {
-            let op = LogicalOp::StampCommit {
-                table,
-                key,
-                op: op_lsn,
-                commit,
-            };
-            let l = self.log_op_record(TcLogRecord::RedoOnly {
-                txn,
-                dc,
-                op: op.clone(),
-            });
-            out.push((dc, l, op));
-        }
-        out
+        rec: TcLogRecord,
+        writes: HashMap<(DcId, TableId, Key), Lsn>,
+    ) -> (Lsn, Result<(), TcError>) {
+        let (commit, last, stamps) = self.log_stamps(rec, writes);
+        self.force_commit(last);
+        let sent = self.send_stamps(&stamps);
+        self.commits_in_flight.lock().remove(&commit.0);
+        self.acks.acked(commit);
+        (commit, sent)
     }
 
-    /// Deliver the stamp records logged by [`Tc::log_stamps`]. Runs
-    /// under the committing transaction's locks; a stamp whose record
-    /// was meanwhile truncated away at the DC is a deterministic no-op
+    /// Append `rec` followed by its stamps — one per key written (last
+    /// write per key: displaced intermediates are never stamped), each
+    /// tagging the DC-side version with the commit LSN — and register
+    /// the commit LSN as in flight before any force can cover it.
+    /// Returns the commit LSN, the group's last LSN and the stamps to
+    /// send.
+    fn log_stamps(
+        &self,
+        rec: TcLogRecord,
+        writes: HashMap<(DcId, TableId, Key), Lsn>,
+    ) -> (Lsn, Lsn, Vec<(DcId, Lsn, LogicalOp)>) {
+        let txn = rec.txn().expect("commit records name their transaction");
+        let mut writes: Vec<_> = writes.into_iter().collect();
+        writes.sort_by_key(|&(_, l)| l);
+        let mut stamps = Vec::with_capacity(writes.len());
+        let _g = self.alloc.lock();
+        let mut in_flight = self.commits_in_flight.lock();
+        let (commit, last) = self.log.append_group(|commit| {
+            let mut group = Vec::with_capacity(writes.len() + 1);
+            group.push(rec);
+            for (i, ((dc, table, key), op_lsn)) in writes.into_iter().enumerate() {
+                let op = LogicalOp::StampCommit {
+                    table,
+                    key,
+                    op: op_lsn,
+                    commit,
+                };
+                stamps.push((dc, Lsn(commit.0 + 1 + i as u64), op.clone()));
+                group.push(TcLogRecord::RedoOnly { txn, dc, op });
+            }
+            group
+        });
+        in_flight.insert(commit.0);
+        drop(in_flight);
+        self.acks.sent(commit);
+        for (_, l, _) in &stamps {
+            self.acks.sent(*l);
+        }
+        (commit, last, stamps)
+    }
+
+    /// Deliver the stamps logged by [`Tc::log_stamps`]. Runs under the
+    /// committing transaction's locks; a stamp whose record was
+    /// meanwhile truncated away at the DC is a deterministic no-op
     /// there.
-    pub(crate) fn send_stamps(&self, stamps: &[(DcId, Lsn, LogicalOp)]) -> Result<(), TcError> {
+    fn send_stamps(&self, stamps: &[(DcId, Lsn, LogicalOp)]) -> Result<(), TcError> {
         for (dc, l, op) in stamps {
             TcStats::bump(&self.stats.stamps_sent);
             let _ = self.send_op(*dc, RequestId::Op(*l), op, false)?;
@@ -1397,9 +1451,9 @@ impl Tc {
         Ok(())
     }
 
-    /// Post-commit-point work shared by single-shard commit, cross-TC
-    /// coordinator commit and participant decision-apply (all of which
-    /// have already sent their stamps): lock release, state removal.
+    /// Post-commit-point work shared by single-shard commit (read-only
+    /// or after its stamps were sent), cross-TC coordinator commit and
+    /// participant decision-apply: lock release, state removal.
     pub(crate) fn finish_commit_local(
         &self,
         txn: TxnId,
@@ -1417,14 +1471,8 @@ impl Tc {
     /// published low-water mark may advance past it.
     pub(crate) fn release_pin(&self, st: &Arc<Mutex<TxnState>>) {
         let pin = st.lock().snapshot.take();
-        if let Some(p) = pin {
-            let mut g = self.snapshot_pins.lock();
-            if let Some(n) = g.get_mut(&p.0) {
-                *n -= 1;
-                if *n == 0 {
-                    g.remove(&p.0);
-                }
-            }
+        if let Some(at) = pin {
+            self.unpin_snapshot(at);
         }
     }
 
@@ -1624,7 +1672,7 @@ impl Tc {
     /// any replica of the hosting primary whose applied frontier covers
     /// `required`, rotating across qualifying replicas; stale (or
     /// failed) replicas fall back to a lock-free snapshot read on the
-    /// primary at the stable LSN. Replica state contains only
+    /// primary at its snapshot position. Replica state contains only
     /// committed, never-rolled-back data by construction (uncommitted
     /// work is withheld from the ship stream), so no staleness setting
     /// can surface dirty data.
@@ -1656,11 +1704,10 @@ impl Tc {
         } else {
             TcStats::bump(&self.stats.replica_read_fallbacks);
         }
-        // The primary fallback is a *snapshot* read at the stable LSN:
-        // it sees every commit the replica path could have seen, but —
-        // unlike the instant S lock this path once took — it never
-        // queues behind a writer's X lock.
-        self.snapshot_read_at(table, key, self.log.stable())
+        // The primary fallback is a *snapshot* read at the snapshot
+        // position: unlike the instant S lock this path once took, it
+        // never queues behind a writer's X lock.
+        self.fresh_snapshot_read(table, key)
     }
 
     /// Send one request over an explicit link (replica reads address DCs

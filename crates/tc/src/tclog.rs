@@ -248,6 +248,22 @@ impl TcLogHandle {
         Lsn(self.store.append(rec, size))
     }
 
+    /// Append records that become stable, or are lost, together;
+    /// `build` receives the first record's LSN. Returns the first and
+    /// last LSN of the group.
+    pub fn append_group(&self, build: impl FnOnce(Lsn) -> Vec<TcLogRecord>) -> (Lsn, Lsn) {
+        let (first, last) = self.store.append_group(|first| {
+            build(Lsn(first))
+                .into_iter()
+                .map(|rec| {
+                    let size = rec.encoded_size();
+                    (rec, size)
+                })
+                .collect()
+        });
+        (Lsn(first), Lsn(last))
+    }
+
     /// Force; returns the new end of stable log (EOSL).
     pub fn force(&self) -> Lsn {
         Lsn(self.store.force())

@@ -166,14 +166,21 @@ impl Tc {
             .max(16)
     }
 
-    pub(crate) fn forward_mutate(
+    /// Run one operation on `key` at its owning shard `owner` as a
+    /// branch of `txn`: `remote` executes it at a peer (given the peer,
+    /// whether a branch must already exist there, and this shard's map
+    /// epoch), `local` here if the key's range moved to this shard
+    /// meanwhile. A forward rejected as stale re-resolves the owner and
+    /// re-routes; any other failure rolls the whole transaction back.
+    pub(crate) fn forward<T>(
         &self,
         txn: TxnId,
         st: &Arc<Mutex<TxnState>>,
-        owner: TcId,
-        op: LogicalOp,
-    ) -> Result<(), TcError> {
-        let mut owner = owner;
+        mut owner: TcId,
+        key: &Key,
+        remote: impl Fn(&Tc, bool, u64) -> Result<T, TcError>,
+        local: impl FnOnce() -> Result<T, TcError>,
+    ) -> Result<T, TcError> {
         let mut retries = 0u32;
         loop {
             let peer = match self.peer_tc(owner) {
@@ -189,10 +196,10 @@ impl Tc {
             // fresh one would commit a partial transaction.
             let expect_branch = st.lock().remotes.contains(&owner);
             let epoch = self.map_epoch();
-            match peer.remote_mutate(self.id(), txn, op.clone(), expect_branch, epoch) {
-                Ok(()) => {
+            match remote(&peer, expect_branch, epoch) {
+                Ok(v) => {
                     st.lock().remotes.insert(owner);
-                    return Ok(());
+                    return Ok(v);
                 }
                 Err(TcError::StaleShardMap { .. }) => {
                     // The range moved (or is moving) under this forward.
@@ -206,65 +213,16 @@ impl Tc {
                     }
                     TcStats::bump(&self.stats().stale_forward_reroutes);
                     std::thread::sleep(std::time::Duration::from_millis(1));
-                    let key = op.point_key().expect("point mutation").clone();
-                    match self.shard_owner(&key) {
+                    match self.shard_owner(key) {
                         Some(next) => owner = next,
                         // The range moved *to us*: execute locally.
-                        None => return self.mutate(txn, op),
+                        None => return local(),
                     }
                 }
                 Err(e) => {
                     // The participant already rolled its branch back;
                     // abort the whole transaction (rollback notifies the
                     // other participants).
-                    self.rollback(txn)?;
-                    return Err(Self::map_remote_err(txn, e));
-                }
-            }
-        }
-    }
-
-    pub(crate) fn forward_read(
-        &self,
-        txn: TxnId,
-        st: &Arc<Mutex<TxnState>>,
-        owner: TcId,
-        table: TableId,
-        key: Key,
-    ) -> Result<Option<Vec<u8>>, TcError> {
-        let mut owner = owner;
-        let mut retries = 0u32;
-        loop {
-            let peer = match self.peer_tc(owner) {
-                Some(p) => p,
-                None => {
-                    self.rollback(txn)?;
-                    return Err(TcError::NoSuchTc(owner));
-                }
-            };
-            let expect_branch = st.lock().remotes.contains(&owner);
-            let epoch = self.map_epoch();
-            match peer.remote_read(self.id(), txn, table, key.clone(), expect_branch, epoch) {
-                Ok(v) => {
-                    st.lock().remotes.insert(owner);
-                    return Ok(v);
-                }
-                Err(TcError::StaleShardMap { .. }) => {
-                    retries += 1;
-                    if retries > self.reroute_retries() {
-                        self.rollback(txn)?;
-                        return Err(TcError::StaleShardMap { tc: owner, epoch });
-                    }
-                    TcStats::bump(&self.stats().stale_forward_reroutes);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                    match self.shard_owner(&key) {
-                        Some(next) => owner = next,
-                        None => {
-                            return self.read(txn, table, key, ReadConsistency::Locking);
-                        }
-                    }
-                }
-                Err(e) => {
                     self.rollback(txn)?;
                     return Err(Self::map_remote_err(txn, e));
                 }
@@ -404,16 +362,15 @@ impl Tc {
                     return true;
                 }
             };
-            let lsn = self.log_bookkeeping(TcLogRecord::ParticipantCommit { txn: local });
             // MVCC: the branch's versions are stamped with the
             // ParticipantCommit LSN — commit LSNs are per-TC, so a
             // snapshot read served by this shard compares against its
-            // own log positions only.
-            let stamps = self.log_stamps(local, &st, lsn);
-            // Forced before acknowledging: once the coordinator hears
-            // the ack it may truncate the decision away.
-            self.force_commit(self.log.last());
-            if self.send_stamps(&stamps).is_err() {
+            // own log positions only. Forced before acknowledging: once
+            // the coordinator hears the ack it may truncate the decision
+            // away.
+            let writes = std::mem::take(&mut st.lock().writes);
+            let rec = TcLogRecord::ParticipantCommit { txn: local };
+            if self.commit_point(rec, writes).1.is_err() {
                 return false;
             }
             self.participants.lock().remove(&(coord, gtxn));
@@ -527,28 +484,29 @@ impl Tc {
         let st = self.txn_state(txn)?;
         let mut participants: Vec<TcId> = st.lock().remotes.iter().copied().collect();
         participants.sort();
-        let lsn = self.log_bookkeeping(TcLogRecord::CommitDecision {
+        // MVCC: the coordinator's *local* writes are stamped with the
+        // decision LSN (the commit point); each participant branch
+        // stamps its own writes with its ParticipantCommit LSN in its
+        // own LSN space.
+        let writes = std::mem::take(&mut st.lock().writes);
+        let rec = TcLogRecord::CommitDecision {
             txn,
             participants: participants.clone(),
-        });
+        };
+        let (lsn, sent) = self.commit_point(rec, writes);
         // A decision with no participants awaits no acks — pinning it
         // would block log truncation forever (nothing ever calls
         // `twopc_ack` for it). This arises when every branch of a
         // nominally cross-shard transaction ends up local, e.g. after a
-        // rebalance moved the remote range onto the coordinator.
+        // rebalance moved the remote range onto the coordinator. The
+        // transaction is still active, so its Begin record holds the
+        // truncation floor below the decision until it is pinned here.
         if !participants.is_empty() {
             self.pending_decisions
                 .lock()
                 .insert(txn, (lsn, participants.into_iter().collect()));
         }
-        // MVCC: the coordinator's *local* writes are stamped with the
-        // decision LSN (the commit point); each participant branch
-        // stamps its own writes with its ParticipantCommit LSN in its
-        // own LSN space. Stamps are logged before the force and sent
-        // after it, under the transaction's still-held locks.
-        let stamps = self.log_stamps(txn, &st, lsn);
-        self.force_commit(self.log.last());
-        self.send_stamps(&stamps)?;
+        sent?;
         Ok(lsn)
     }
 

@@ -1,11 +1,19 @@
 //! End-to-end integration tests: full transactions across the TC:DC
 //! boundary, over both transports, with crash injection.
 
-use unbundled::core::{DcId, Key, ReadFlavor, TableId, TableSpec, TcError, TcId, TcShardMap};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use unbundled::core::{
+    DataComponentApi, DcId, Key, LogicalOp, ReadFlavor, TableId, TableSpec, TcError, TcId,
+    TcShardMap, TcToDc,
+};
 use unbundled::dc::DcConfig;
-use unbundled::kernel::{single, Deployment, FaultModel, TransportKind};
+use unbundled::kernel::{
+    single, DcSlot, Deployment, FaultModel, InlineLink, ReplySink, TransportKind,
+};
 use unbundled::tc::{
-    RangePartitioner, ReadConsistency, ScanProtocol, TableRoute, TcConfig, TcLogRecord,
+    DcLink, RangePartitioner, ReadConsistency, ScanProtocol, SnapshotSpec, TableRoute, TcConfig,
+    TcLogRecord,
 };
 
 const T: TableId = TableId(1);
@@ -772,4 +780,83 @@ fn concurrent_clients_exactly_once_under_reordering() {
         (n_threads * per_thread) as usize,
         "every committed insert exactly once"
     );
+}
+
+/// A link that drops the commit stamp of one key while `hold` is set;
+/// the TC's resend delivers it once the hold is lifted.
+struct HoldStamp {
+    inner: Arc<dyn DcLink>,
+    key: Key,
+    hold: AtomicBool,
+    dropped: AtomicU64,
+}
+
+impl DcLink for HoldStamp {
+    fn send(&self, msg: TcToDc) {
+        if let TcToDc::Perform {
+            op: LogicalOp::StampCommit { key, .. },
+            ..
+        } = &msg
+        {
+            if *key == self.key && self.hold.load(Ordering::SeqCst) {
+                self.dropped.fetch_add(1, Ordering::SeqCst);
+                return;
+            }
+        }
+        self.inner.send(msg);
+    }
+}
+
+#[test]
+fn snapshot_never_sees_a_commit_whose_stamps_are_in_flight() {
+    let d = basic(TransportKind::Inline);
+    let tc = d.tc(TcId(1));
+    let (k0, k1) = (Key::from_u64(0), Key::from_u64(1));
+    let t = tc.begin().unwrap();
+    tc.insert(t, T, k0.clone(), b"old".to_vec()).unwrap();
+    tc.insert(t, T, k1.clone(), b"old".to_vec()).unwrap();
+    tc.commit(t).unwrap();
+    let dc: Arc<dyn DataComponentApi> = d.dc(DcId(1));
+    let link = Arc::new(HoldStamp {
+        inner: InlineLink::new(DcSlot::new(dc), ReplySink::new(tc.clone())),
+        key: k1.clone(),
+        hold: AtomicBool::new(true),
+        dropped: AtomicU64::new(0),
+    });
+    tc.register_dc(DcId(1), link.clone());
+    // The writer's commit is forced, k0's stamp lands, k1's is held.
+    let writer = {
+        let (tc, k0, k1) = (tc.clone(), k0.clone(), k1.clone());
+        std::thread::spawn(move || {
+            let t = tc.begin()?;
+            tc.update(t, T, k0, b"new".to_vec())?;
+            tc.update(t, T, k1, b"new".to_vec())?;
+            tc.commit(t)
+        })
+    };
+    while link.dropped.load(Ordering::SeqCst) == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    let snap = ReadConsistency::Snapshot(SnapshotSpec::Pinned);
+    let r = tc.begin().unwrap();
+    let v0 = tc.read(r, T, k0.clone(), snap).unwrap();
+    let v1 = tc.read(r, T, k1.clone(), snap).unwrap();
+    assert_eq!(v0, v1, "the snapshot saw half of a commit");
+    link.hold.store(false, Ordering::SeqCst);
+    writer.join().unwrap().unwrap();
+    assert_eq!(
+        tc.read(r, T, k1.clone(), snap).unwrap(),
+        v1,
+        "pinned snapshot read is not repeatable"
+    );
+    tc.commit(r).unwrap();
+    let r = tc.begin().unwrap();
+    for k in [k0, k1] {
+        assert_eq!(
+            tc.read(r, T, k, snap).unwrap(),
+            Some(b"new".to_vec()),
+            "a snapshot after the commit returned sees all of it"
+        );
+    }
+    tc.commit(r).unwrap();
 }
